@@ -45,6 +45,11 @@ pub enum CollectStatus<T: Real> {
 /// transport-agnostic, which is what lets the socket federation inherit
 /// the file federation's parity proofs wholesale.
 pub trait HaloTransport {
+    /// Whether a publish reaches peers only after wire time. A
+    /// phase-locked in-process federation must then block its collects up
+    /// to the halo deadline; on a shared spool a publish is visible the
+    /// moment it returns, so a single poll suffices.
+    const ASYNC_PUBLISH: bool;
     /// Publish a halo frame for its (cycle, shard) slot. Network
     /// delivery failure is *not* an error — it degrades receivers onto
     /// the ladder; only local encode/spool failures surface here.
@@ -242,6 +247,7 @@ impl HaloBus {
 }
 
 impl HaloTransport for HaloBus {
+    const ASYNC_PUBLISH: bool = false;
     fn publish<T: Real>(&self, frame: &HaloFrame<T>) -> Result<(), String> {
         HaloBus::publish(self, frame)
     }

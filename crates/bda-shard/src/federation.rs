@@ -1,21 +1,28 @@
 //! Deterministic in-process federation driver.
 //!
-//! [`LocalFederation`] runs every shard worker inside one process with a
+//! [`Federation`] runs every shard worker inside one process with a
 //! strict phase discipline per cycle — kills/respawns, then every shard's
-//! publish, then every shard's collect (single-poll, no timeouts) — so
-//! federated campaigns are bit-reproducible and the shard-fault scenarios
-//! (`shardkill`, `shardstall`, `halodrop`) land on exact expected outcome
-//! tables. The multi-*process* flavour of the same protocol lives in
-//! `examples/federation.rs` under the `bda_workflow::shard_supervisor`;
-//! both drive the identical [`ShardWorker`] cycle code, which is what
-//! makes the local mode a faithful model.
+//! publish, then every shard's collect — so federated campaigns are
+//! bit-reproducible and the shard-fault scenarios (`shardkill`,
+//! `shardstall`, `halodrop`) land on exact expected outcome tables. It is
+//! generic over the halo transport: [`LocalFederation`] spools halos
+//! through the file bus and collects with a single poll, [`NetFederation`]
+//! pushes them over loopback sockets and blocks each collect up to the
+//! halo deadline ([`HaloTransport::ASYNC_PUBLISH`]). Opening a shard's bus
+//! is the only other per-transport step. The multi-*process* flavour of
+//! the same protocol lives in `examples/federation.rs` under the
+//! `bda_workflow::shard_supervisor`; all of them drive the identical
+//! [`ShardWorker`] cycle code, which is what makes the in-process modes
+//! faithful models.
 //!
-//! A `shardkill:S@C` here is a *virtual SIGKILL*: worker `S` is dropped on
-//! the floor at the start of cycle `C` (whatever in-memory state it had is
-//! gone) and rebuilt from its own scoped checkpoint, replaying forward to
-//! rejoin the federation in the same cycle — exactly the recovery path a
-//! real killed process takes, minus the wall clock.
+//! A `shardkill:S@C` here is a *virtual SIGKILL*: worker `S` (and its
+//! bus) is dropped on the floor at the start of cycle `C` (whatever
+//! in-memory state it had is gone) and rebuilt from its own scoped
+//! checkpoint, replaying forward to rejoin the federation in the same
+//! cycle — exactly the recovery path a real killed process takes, minus
+//! the wall clock.
 
+use crate::bus::{HaloBus, HaloTransport};
 use crate::chaos::ChaosProxy;
 use crate::netbus::{NetBus, NetBusConfig};
 use crate::worker::{ShardConfig, ShardWorker};
@@ -71,26 +78,65 @@ impl FederationConfig {
     }
 }
 
-/// All shards in one process, phase-locked per cycle.
-pub struct LocalFederation<T: Real> {
+/// All shards in one process, phase-locked per cycle, over transport `B`.
+pub struct Federation<T: Real, B: HaloTransport> {
     pub cfg: FederationConfig,
-    pub workers: Vec<ShardWorker<T>>,
+    pub workers: Vec<ShardWorker<T, B>>,
+    /// Every shard's collect deadline and poll, and the socket bus options.
+    net: NetTuning,
+    open_bus: fn(&FederationConfig, &NetTuning, usize) -> Result<B, String>,
+    /// In-path proxies (socket chaos mode) — held for their lifetime.
+    _proxies: Vec<ChaosProxy>,
 }
 
-impl<T: Real> LocalFederation<T> {
-    /// Build and start (or resume) every shard worker.
-    pub fn start(cfg: FederationConfig) -> Result<Self, String> {
-        let workers = (0..cfg.n_shards)
-            .map(|s| ShardWorker::start_or_resume(cfg.shard_config(s)).map(|(w, _)| w))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { cfg, workers })
+/// The file-spool federation: single-poll collects, so by the time any
+/// shard collects, every live shard has published and the no-fault path
+/// is timeout-free.
+pub type LocalFederation<T> = Federation<T, HaloBus>;
+
+/// The socket federation: every halo crosses a real loopback socket
+/// through [`NetBus`] — and, in chaos mode, through an in-path
+/// [`ChaosProxy`] per shard. Collects block up to the halo deadline
+/// (pushes are asynchronous; the deadline is how network faults turn into
+/// ladder rungs). Everything downstream of the transport is the identical
+/// [`ShardWorker`] cycle code, so a clean socket run is bit-identical to
+/// the file run and to single-process.
+pub type NetFederation<T> = Federation<T, NetBus>;
+
+impl<T: Real, B: HaloTransport> Federation<T, B> {
+    fn launch(
+        cfg: FederationConfig,
+        net: NetTuning,
+        open_bus: fn(&FederationConfig, &NetTuning, usize) -> Result<B, String>,
+        proxies: Vec<ChaosProxy>,
+    ) -> Result<Self, String> {
+        let mut fed = Self {
+            cfg,
+            net,
+            workers: Vec::new(),
+            open_bus,
+            _proxies: proxies,
+        };
+        for s in 0..fed.cfg.n_shards {
+            let (w, _) = fed.start_worker(s)?;
+            fed.workers.push(w);
+        }
+        Ok(fed)
+    }
+
+    /// Open shard `s`'s bus and start (or resume) its worker; the flag
+    /// says whether a checkpoint was resumed.
+    fn start_worker(&self, s: usize) -> Result<(ShardWorker<T, B>, bool), String> {
+        let mut sc = self.cfg.shard_config(s);
+        sc.halo_deadline = self.net.halo_deadline;
+        sc.poll = self.net.poll;
+        let bus = (self.open_bus)(&self.cfg, &self.net, s)?;
+        ShardWorker::start_or_resume_on(sc, bus)
     }
 
     /// Run the full campaign: every cycle applies scheduled virtual kills
     /// (drop + rebuild-from-checkpoint + replay), then all shards publish,
-    /// then all shards collect. Single-poll collects — by the time any
-    /// shard collects, every live shard has published, so the no-fault
-    /// path is timeout-free and fully deterministic.
+    /// then all shards collect.
     pub fn run(&mut self) -> Result<(), String> {
         for cycle in 0..bda_num::cast::u64_of(self.cfg.n_cycles) {
             for s in self
@@ -105,20 +151,26 @@ impl<T: Real> LocalFederation<T> {
                 pendings.push(w.run_cycle_publish(cycle)?);
             }
             for (w, p) in self.workers.iter_mut().zip(pendings) {
-                w.run_cycle_collect(p, false);
+                w.run_cycle_collect(p, B::ASYNC_PUBLISH);
             }
         }
         Ok(())
     }
 
     /// Virtual SIGKILL of shard `s` at the start of `cycle`: the worker
-    /// (and all its in-memory state) is discarded, a fresh one resumes
-    /// from its own scoped checkpoint, and the missed cycles are replayed
-    /// against the halos still spooled on the bus — republishes are
-    /// idempotent and the peers' frames for those cycles are still there,
-    /// so the replay reconverges bit-for-bit before `cycle` begins.
-    fn respawn(&mut self, s: usize, cycle: u64) -> Result<(), String> {
-        let (mut w, resumed) = ShardWorker::start_or_resume(self.cfg.shard_config(s))?;
+    /// *and its bus* are dropped (on sockets: listener closed, links cut —
+    /// a real dead process), a fresh one resumes from its own scoped
+    /// checkpoint, and the missed cycles are replayed. On the file spool
+    /// the peers' frames for those cycles are still there and republishes
+    /// are idempotent; over sockets the fresh bus starts under a bumped
+    /// epoch, replay collects pull missed halos from peer history via
+    /// `REQ`, and anything still written by the old instance is fenced off
+    /// as a typed stale reject. Either way the replay reconverges
+    /// bit-for-bit before `cycle` begins.
+    pub fn respawn(&mut self, s: usize, cycle: u64) -> Result<(), String> {
+        // Drop first: kill semantics, and it frees the registry slot.
+        let _ = self.workers.remove(s);
+        let (mut w, resumed) = self.start_worker(s)?;
         if !resumed && cycle > 0 {
             return Err(format!(
                 "shard {s} killed at cycle {cycle} but no checkpoint found"
@@ -127,15 +179,26 @@ impl<T: Real> LocalFederation<T> {
         while w.next_cycle() < cycle {
             let c = w.next_cycle();
             let p = w.run_cycle_publish(c)?;
-            w.run_cycle_collect(p, false);
+            w.run_cycle_collect(p, B::ASYNC_PUBLISH);
         }
-        self.workers[s] = w;
+        self.workers.insert(s, w);
         Ok(())
     }
 
     /// Shard `s`'s outcome table.
     pub fn table(&self, s: usize) -> String {
         self.workers[s].table()
+    }
+}
+
+impl<T: Real> LocalFederation<T> {
+    /// Build and start (or resume) every shard worker on the file spool
+    /// under `<dir>/bus`.
+    pub fn start(cfg: FederationConfig) -> Result<Self, String> {
+        let open_bus = |cfg: &FederationConfig, _: &NetTuning, _: usize| {
+            HaloBus::new(cfg.dir.join("bus")).map_err(|e| format!("open bus: {e}"))
+        };
+        Self::launch(cfg, NetTuning::default(), open_bus, Vec::new())
     }
 }
 
@@ -168,37 +231,7 @@ impl Default for NetTuning {
     }
 }
 
-/// The same phase-locked federation as [`LocalFederation`], but every
-/// halo crosses a real loopback socket through [`NetBus`] — and, in
-/// chaos mode, through an in-path [`ChaosProxy`] per shard. Collects are
-/// *blocking* (pushes are asynchronous; the deadline is how network
-/// faults turn into ladder rungs), which is the one protocol difference
-/// from the file flavour; everything downstream of the transport is the
-/// identical [`ShardWorker`] cycle code, so a clean socket run is
-/// bit-identical to the file run and to single-process.
-pub struct NetFederation<T: Real> {
-    pub cfg: FederationConfig,
-    pub net: NetTuning,
-    pub workers: Vec<ShardWorker<T, NetBus>>,
-    /// In-path proxies (chaos mode) — held for their lifetime.
-    _proxies: Vec<ChaosProxy>,
-}
-
 impl<T: Real> NetFederation<T> {
-    fn net_shard_config(cfg: &FederationConfig, net: &NetTuning, s: usize) -> ShardConfig {
-        let mut sc = cfg.shard_config(s);
-        sc.halo_deadline = net.halo_deadline;
-        sc.poll = net.poll;
-        sc
-    }
-
-    fn start_bus(cfg: &FederationConfig, net: &NetTuning, s: usize) -> Result<NetBus, String> {
-        let mut bc = NetBusConfig::new(s, cfg.n_shards);
-        bc.raw_registry = net.chaos;
-        bc.seed ^= net.seed;
-        NetBus::start(bc, cfg.dir.join("bus"))
-    }
-
     /// Start every shard on its own socket bus (and, in chaos mode, its
     /// own in-path proxy).
     pub fn start(cfg: FederationConfig, net: NetTuning) -> Result<Self, String> {
@@ -217,75 +250,12 @@ impl<T: Real> NetFederation<T> {
         } else {
             Vec::new()
         };
-        let workers = (0..cfg.n_shards)
-            .map(|s| {
-                let bus = Self::start_bus(&cfg, &net, s)?;
-                ShardWorker::start_or_resume_on(Self::net_shard_config(&cfg, &net, s), bus)
-                    .map(|(w, _)| w)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            cfg,
-            net,
-            workers,
-            _proxies: proxies,
-        })
-    }
-
-    /// Run the full campaign. Same phase discipline as
-    /// [`LocalFederation::run`], except collects block up to the halo
-    /// deadline: a push crosses a socket, so "published" and "visible"
-    /// are separated by real wire time (or by an injected fault).
-    pub fn run(&mut self) -> Result<(), String> {
-        for cycle in 0..bda_num::cast::u64_of(self.cfg.n_cycles) {
-            for s in self
-                .cfg
-                .plan
-                .shard_kills(bda_num::cast::index_of_u64(cycle))
-            {
-                self.respawn(s, cycle)?;
-            }
-            let mut pendings = Vec::with_capacity(self.workers.len());
-            for w in &mut self.workers {
-                pendings.push(w.run_cycle_publish(cycle)?);
-            }
-            for (w, p) in self.workers.iter_mut().zip(pendings) {
-                w.run_cycle_collect(p, true);
-            }
-        }
-        Ok(())
-    }
-
-    /// Virtual SIGKILL over sockets: the worker *and its bus* are
-    /// dropped (listener closed, links cut — a real dead process), then
-    /// a fresh bus starts under a bumped epoch and the worker resumes
-    /// from its checkpoint. Replay collects pull missed halos from peer
-    /// history via `REQ` — the file spool is not involved — and the
-    /// replay republishes refill this shard's own history for peers'
-    /// pulls. Anything still written by the old instance is fenced off
-    /// by the epoch bump as a typed stale reject.
-    pub fn respawn(&mut self, s: usize, cycle: u64) -> Result<(), String> {
-        // Drop first: kill semantics, and it frees the registry slot.
-        let _ = self.workers.remove(s);
-        let bus = Self::start_bus(&self.cfg, &self.net, s)?;
-        let (mut w, resumed) =
-            ShardWorker::start_or_resume_on(Self::net_shard_config(&self.cfg, &self.net, s), bus)?;
-        if !resumed && cycle > 0 {
-            return Err(format!(
-                "shard {s} killed at cycle {cycle} but no checkpoint found"
-            ));
-        }
-        while w.next_cycle() < cycle {
-            let c = w.next_cycle();
-            let p = w.run_cycle_publish(c)?;
-            w.run_cycle_collect(p, true);
-        }
-        self.workers.insert(s, w);
-        Ok(())
-    }
-
-    /// Shard `s`'s outcome table.
-    pub fn table(&self, s: usize) -> String {
-        self.workers[s].table()
+        let open_bus = |cfg: &FederationConfig, net: &NetTuning, s: usize| {
+            let mut bc = NetBusConfig::new(s, cfg.n_shards);
+            bc.raw_registry = net.chaos;
+            bc.seed ^= net.seed;
+            NetBus::start(bc, cfg.dir.join("bus"))
+        };
+        Self::launch(cfg, net, open_bus, proxies)
     }
 }

@@ -5,10 +5,11 @@
 //! a single fault domain around the whole forecast. This crate splits the
 //! LETKF domain into `S` shards — separate OS processes in production
 //! (`examples/federation.rs`), phase-locked in-process workers for
-//! deterministic tests ([`federation::LocalFederation`]) — that exchange
-//! analyzed-strip "halos" through a spool directory
-//! ([`bus::HaloBus`], the file flavour of JIT-DT, sequenced with the same
-//! [`bda_jitdt::SeqTracker`] discipline as radar volumes) and checkpoint
+//! deterministic tests (one harness, [`federation::Federation`], generic
+//! over the halo transport) — that exchange analyzed-strip "halos" through
+//! a spool directory ([`bus::HaloBus`], the file flavour of JIT-DT,
+//! sequenced with the same [`bda_jitdt::SeqTracker`] discipline as radar
+//! volumes) or loopback sockets ([`netbus::NetBus`]) and checkpoint
 //! independently in the CRC-guarded [`bda_io::checkpoint`] format under
 //! shard-scoped filenames, so a SIGKILLed shard resumes on its own while
 //! the rest of the federation keeps cycling.
@@ -37,7 +38,7 @@ pub mod worker;
 
 pub use bus::{CollectStatus, HaloBus, HaloTransport};
 pub use chaos::ChaosProxy;
-pub use federation::{FederationConfig, LocalFederation, NetFederation};
+pub use federation::{Federation, FederationConfig, LocalFederation, NetFederation};
 pub use fence::{Admit, FenceTable, SlotGet};
 pub use layout::ShardLayout;
 pub use msg::{decode_halo, encode_halo, HaloError, HaloFrame, HaloMsg};

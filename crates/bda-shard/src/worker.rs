@@ -107,8 +107,7 @@ impl<T: Real> PendingPublish<T> {
 }
 
 /// One shard of the federation, generic over its halo transport (file
-/// spool by default, loopback sockets via
-/// [`start_or_resume_on`](Self::start_or_resume_on)).
+/// spool by default, loopback sockets with [`NetBus`](crate::netbus::NetBus)).
 pub struct ShardWorker<T: Real, B: HaloTransport = HaloBus> {
     pub cfg: ShardConfig,
     pub osse: Osse<T>,
@@ -128,21 +127,10 @@ pub struct ShardWorker<T: Real, B: HaloTransport = HaloBus> {
     next_cycle: u64,
 }
 
-impl<T: Real> ShardWorker<T> {
-    /// Build the worker on the default file-spool transport and either
-    /// resume from the newest valid scoped checkpoint or start fresh.
-    /// Returns `true` when a checkpoint was resumed.
-    pub fn start_or_resume(cfg: ShardConfig) -> Result<(Self, bool), String> {
-        let bus = HaloBus::new(&cfg.bus_dir).map_err(|e| format!("open bus: {e}"))?;
-        Self::start_or_resume_on(cfg, bus)
-    }
-}
-
 impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
-    /// Build the worker on an explicit transport (the socket federation
-    /// path) and either resume from the newest valid scoped checkpoint or
-    /// start fresh (spinning up the system). Returns `true` when a
-    /// checkpoint was resumed.
+    /// Build the worker on `bus` and either resume from the newest valid
+    /// scoped checkpoint or start fresh (spinning up the system). Returns
+    /// `true` when a checkpoint was resumed.
     pub fn start_or_resume_on(cfg: ShardConfig, bus: B) -> Result<(Self, bool), String> {
         assert!(cfg.shard < cfg.n_shards, "shard index out of range");
         let mut osse = Osse::<T>::new(cfg.osse.clone());

@@ -1,12 +1,26 @@
-//! Fault-tolerant supervisor for the live 30-second pipeline.
+//! The live 30-second pipeline and its fault-tolerant cycle supervisor
+//! (Figs. 2 and 4, at reduced scale).
 //!
-//! [`RealtimePipeline`](crate::pipeline::RealtimePipeline) is the
-//! happy-path reproduction of Figs. 2/4: it assumes every scan arrives,
-//! every transfer completes, and every stage returns. The production system
-//! on Fugaku could not assume any of that — a 30-second cadence with a
-//! month-long deployment means every component *will* fail mid-campaign,
-//! and the right response is almost never "stop". [`CycleSupervisor`] wraps
-//! the same three-thread layout with the operational armor:
+//! Three stages run on their own threads, connected by the JIT-DT byte pipe
+//! and bounded channels, mirroring the production layout:
+//!
+//! ```text
+//! radar thread  --volume bytes-->  assimilation thread  --analysis-->  forecast thread
+//!  (MP-PAWR)        (JIT-DT)        (LETKF, part <1>)                 (part <2>)
+//! ```
+//!
+//! The stages overlap across cycles exactly as on Fugaku: while cycle `n`'s
+//! forecast runs, cycle `n+1` is already being scanned and assimilated.
+//! Per-stage wall-clock times land in [`CycleTiming`], and the
+//! time-to-solution is measured from scan completion (`T_obs`) to forecast
+//! product completion, the Fig. 4 definition.
+//!
+//! [`CycleSupervisor`] is the only way to run that layout. With an empty
+//! [`FaultPlan`] it is the plain pipeline; the production system on Fugaku
+//! could not assume every scan arrives and every stage returns — a
+//! 30-second cadence over a month-long deployment means every component
+//! *will* fail mid-campaign, and the right response is almost never
+//! "stop". So every run carries the operational armor:
 //!
 //! * **panic isolation** — each stage closure runs under `catch_unwind`;
 //!   a panicking assimilation poisons one cycle, not the pipeline;
@@ -32,13 +46,33 @@
 
 use crate::backoff::Backoff;
 use crate::fault::{Fault, FaultPlan, Stage};
-use crate::pipeline::{CycleTiming, RealtimePipeline};
 use bda_jitdt::pipe::{fnv1a, PipeError};
 use bda_jitdt::sequence::{sequenced_pipe, DeliveryDrop, DeliveryError, SequencedReceiver};
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
+
+/// Transfer chunk size through the JIT-DT byte pipe.
+const CHUNK_BYTES: usize = 64 * 1024;
+/// In-flight frame and channel capacity (back-pressure depth).
+const CAPACITY: usize = 64;
+
+/// Wall-clock timing of one cycle through the live pipeline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CycleTiming {
+    pub cycle: usize,
+    /// Time spent producing the scan volume (before `T_obs`).
+    pub scan_s: f64,
+    /// `T_obs` to volume available on the assimilation side.
+    pub transfer_s: f64,
+    /// Assimilation stage duration.
+    pub assimilation_s: f64,
+    /// Forecast stage duration.
+    pub forecast_s: f64,
+    /// `T_obs` to forecast product — the paper's time-to-solution.
+    pub time_to_solution_s: f64,
+}
 
 /// A typed stage failure. The `Display` form reads as an error chain
 /// (`stage: cause`), and the variants carry enough context to reconstruct
@@ -322,12 +356,10 @@ impl SupervisorReport {
 }
 
 /// Supervisor configuration. With the default settings and an empty
-/// [`FaultPlan`], the supervised pipeline is semantically identical to
-/// [`RealtimePipeline::run`] — same thread layout, same channel
-/// capacities, same overlap behaviour.
+/// [`FaultPlan`], a run is the plain three-stage pipeline: every cycle
+/// completes from a fresh analysis and the stages overlap across cycles.
 #[derive(Clone, Debug)]
 pub struct CycleSupervisor {
-    pub pipeline: RealtimePipeline,
     /// Transfer stall watchdog window (per-frame progress timeout).
     pub stall_timeout: Duration,
     /// Watchdog firings tolerated before the transfer is declared dead —
@@ -360,7 +392,6 @@ pub struct CycleSupervisor {
 impl Default for CycleSupervisor {
     fn default() -> Self {
         Self {
-            pipeline: RealtimePipeline::default(),
             stall_timeout: Duration::from_millis(50),
             max_restarts: 3,
             backoff_base: Duration::from_millis(5),
@@ -374,18 +405,14 @@ impl Default for CycleSupervisor {
     }
 }
 
-/// Scan-side metadata for one cycle. `payload` is `Err` when no volume was
-/// sent through the pipe (dropped scan or scan-stage failure).
+/// Scan-side metadata for one cycle. `checksum` is the payload checksum
+/// taken at `T_obs`, or `Err` when no volume was sent through the pipe
+/// (dropped scan or scan-stage failure).
 struct ScanMeta {
     cycle: usize,
     t_obs: Instant,
     scan_s: f64,
-    payload: Result<PayloadMeta, StageError>,
-}
-
-#[derive(Clone, Copy)]
-struct PayloadMeta {
-    checksum: u64,
+    checksum: Result<u64, StageError>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -398,11 +425,37 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Run one stage closure at the stage boundary: panic-isolated, with the
+/// plan's scheduled panic for `(stage, cycle)` injected first. A returned
+/// error or a caught panic becomes the matching typed [`StageError`].
+fn run_stage<R>(
+    plan: &FaultPlan,
+    stage: Stage,
+    cycle: usize,
+    f: impl FnOnce() -> Result<R, String>,
+) -> Result<R, StageError> {
+    let inject_panic = plan.has(cycle, Fault::StagePanic(stage));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
+            panic!("injected {stage} panic (cycle {cycle})");
+        }
+        f()
+    }));
+    match outcome {
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(message)) => Err(StageError::Failed { stage, message }),
+        Err(p) => Err(StageError::Panicked {
+            stage,
+            message: panic_message(p),
+        }),
+    }
+}
+
 /// What [`CycleSupervisor::receive_volume`] recovered for one cycle.
 struct ReceivedVolume {
     retries: usize,
     drops: Vec<DeliveryDrop>,
-    payload: Bytes,
+    payload: Result<Bytes, StageError>,
 }
 
 /// What the assimilation thread hands the forecast thread per cycle.
@@ -418,12 +471,14 @@ struct AssimOutcome<P> {
 impl CycleSupervisor {
     /// Run `n_cycles` under supervision.
     ///
-    /// The stage closures mirror [`RealtimePipeline::run`] but return
-    /// `Result` so recoverable failures flow into the degradation ladder
-    /// (panics are additionally caught at every stage boundary):
+    /// The stage closures return `Result` so recoverable failures flow
+    /// into the degradation ladder (panics are additionally caught at
+    /// every stage boundary):
     ///
-    /// * `scan(cycle)` produces the encoded volume;
-    /// * `assimilate(cycle, volume)` returns the analysis product;
+    /// * `scan(cycle)` produces the encoded volume (runs on the radar
+    ///   thread);
+    /// * `assimilate(cycle, volume)` returns the analysis product handed to
+    ///   the forecast stage;
     /// * `forecast(cycle, input)` consumes a [`ForecastInput`] — fresh
     ///   analysis, previous analysis, or persistence.
     pub fn run<P, S, A, F>(
@@ -467,11 +522,9 @@ impl CycleSupervisor {
         F: FnMut(usize, ForecastInput<'_, P>) -> Result<(), String> + Send,
         E: FnMut(usize, &CycleDisposition) -> Option<String> + Send,
     {
-        let capacity = self.pipeline.capacity;
-        let (vol_tx, vol_rx) =
-            sequenced_pipe(self.pipeline.chunk_bytes, capacity, self.stale_horizon_s);
-        let (meta_tx, meta_rx) = bounded::<ScanMeta>(capacity);
-        let (ana_tx, ana_rx) = bounded::<AssimOutcome<P>>(capacity);
+        let (vol_tx, vol_rx) = sequenced_pipe(CHUNK_BYTES, CAPACITY, self.stale_horizon_s);
+        let (meta_tx, meta_rx) = bounded::<ScanMeta>(CAPACITY);
+        let (ana_tx, ana_rx) = bounded::<AssimOutcome<P>>(CAPACITY);
         let (out_tx, out_rx) = bounded::<CycleReport>(n_cycles.max(1));
         let out_tx_assim = out_tx.clone();
         let plan = &self.faults;
@@ -486,86 +539,49 @@ impl CycleSupervisor {
                 let mut vol_tx = vol_tx;
                 for cycle in 0..n_cycles {
                     let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                    if plan.has(cycle, Fault::DropScan) {
-                        let meta = ScanMeta {
-                            cycle,
-                            t_obs: Instant::now(), // bda-check: allow(wallclock) — wall-time telemetry column
-                            scan_s: 0.0,
-                            payload: Err(StageError::ScanDropped),
-                        };
-                        if meta_tx.send(meta).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    let inject_panic = plan.has(cycle, Fault::StagePanic(Stage::Scan));
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if inject_panic {
-                            panic!("injected scan panic (cycle {cycle})");
-                        }
-                        scan(cycle)
-                    }));
-                    let t_obs = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                    let scan_s = (t_obs - t0).as_secs_f64();
-                    let payload = match result {
-                        Err(p) => Err(StageError::Panicked {
-                            stage: Stage::Scan,
-                            message: panic_message(p),
-                        }),
-                        Ok(Err(message)) => Err(StageError::Failed {
-                            stage: Stage::Scan,
-                            message,
-                        }),
-                        Ok(Ok(volume)) => {
-                            let checksum = fnv1a(&volume);
-                            let wire = if plan.has(cycle, Fault::CorruptVolume) {
-                                let mut bytes = volume.to_vec();
-                                FaultPlan::corrupt_payload(&mut bytes);
-                                Bytes::from(bytes)
-                            } else {
-                                volume
-                            };
-                            let meta = ScanMeta {
-                                cycle,
-                                t_obs,
-                                scan_s,
-                                payload: Ok(PayloadMeta { checksum }),
-                            };
-                            if meta_tx.send(meta).is_err() {
-                                return;
-                            }
-                            let scan_time = if plan.has(cycle, Fault::StaleScan) {
-                                // Back-date far past any plausible horizon.
-                                cycle as f64 * self.scan_interval_s
-                                    - self.stale_horizon_s.unwrap_or(0.0)
-                                    - 10.0 * self.scan_interval_s.max(1.0)
-                            } else {
-                                cycle as f64 * self.scan_interval_s
-                            };
-                            if vol_tx
-                                .send_with_seq(cycle as u64, scan_time, &wire)
-                                .is_err()
-                            {
-                                return;
-                            }
-                            if plan.has(cycle, Fault::DuplicateVolume)
-                                && vol_tx
-                                    .send_with_seq(cycle as u64, scan_time, &wire)
-                                    .is_err()
-                            {
-                                return;
-                            }
-                            continue;
-                        }
+                    let volume = if plan.has(cycle, Fault::DropScan) {
+                        Err(StageError::ScanDropped)
+                    } else {
+                        run_stage(plan, Stage::Scan, cycle, || scan(cycle))
                     };
+                    let t_obs = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
                     let meta = ScanMeta {
                         cycle,
                         t_obs,
-                        scan_s,
-                        payload,
+                        scan_s: (t_obs - t0).as_secs_f64(),
+                        checksum: volume.as_ref().map(|v| fnv1a(v)).map_err(Clone::clone),
                     };
                     if meta_tx.send(meta).is_err() {
                         break;
+                    }
+                    let Ok(volume) = volume else { continue };
+                    let wire = if plan.has(cycle, Fault::CorruptVolume) {
+                        let mut bytes = volume.to_vec();
+                        FaultPlan::corrupt_payload(&mut bytes);
+                        Bytes::from(bytes)
+                    } else {
+                        volume
+                    };
+                    let scan_time = if plan.has(cycle, Fault::StaleScan) {
+                        // Back-date far past any plausible horizon.
+                        cycle as f64 * self.scan_interval_s
+                            - self.stale_horizon_s.unwrap_or(0.0)
+                            - 10.0 * self.scan_interval_s.max(1.0)
+                    } else {
+                        cycle as f64 * self.scan_interval_s
+                    };
+                    let copies = if plan.has(cycle, Fault::DuplicateVolume) {
+                        2
+                    } else {
+                        1
+                    };
+                    for _ in 0..copies {
+                        if vol_tx
+                            .send_with_seq(cycle as u64, scan_time, &wire)
+                            .is_err()
+                        {
+                            return;
+                        }
                     }
                 }
             });
@@ -597,117 +613,60 @@ impl CycleSupervisor {
                         }
                     }
                     let cycle = meta.cycle;
-                    match meta.payload {
-                        Err(ref e) => {
-                            let result = Err(e.clone());
-                            if ana_tx
-                                .send(AssimOutcome {
-                                    meta,
-                                    retries: 0,
-                                    drops: Vec::new(),
-                                    transfer_s: 0.0,
-                                    assim_s: 0.0,
-                                    result,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Ok(pm) => {
+                    let (retries, drops, transfer_s, volume) = match meta.checksum {
+                        Err(ref e) => (0, Vec::new(), 0.0, Err(e.clone())),
+                        Ok(expected) => {
                             let received = self.receive_volume(&mut vol_rx, cycle);
                             let transfer_s = meta.t_obs.elapsed().as_secs_f64();
-                            let (retries, drops, volume) = match received {
-                                Ok(r) => (r.retries, r.drops, r.payload),
-                                Err((retries, drops, e)) => {
-                                    let _ = ana_tx.send(AssimOutcome {
-                                        meta,
-                                        retries,
-                                        drops,
-                                        transfer_s,
-                                        assim_s: 0.0,
-                                        result: Err(e),
-                                    });
-                                    continue;
-                                }
-                            };
-                            let got = fnv1a(&volume);
-                            if got != pm.checksum {
-                                let err = StageError::CorruptVolume {
-                                    expected: pm.checksum,
-                                    got,
-                                };
-                                let _ = ana_tx.send(AssimOutcome {
-                                    meta,
-                                    retries,
-                                    drops,
-                                    transfer_s,
-                                    assim_s: 0.0,
-                                    result: Err(err),
-                                });
-                                continue;
-                            }
-                            let inject_panic =
-                                plan.has(cycle, Fault::StagePanic(Stage::Assimilation));
-                            let t1 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                if inject_panic {
-                                    panic!("injected assimilation panic (cycle {cycle})");
-                                }
-                                assimilate(cycle, volume)
-                            }));
-                            let assim_s = t1.elapsed().as_secs_f64();
-                            let result = match outcome {
-                                Err(p) => Err(StageError::Panicked {
-                                    stage: Stage::Assimilation,
-                                    message: panic_message(p),
-                                }),
-                                Ok(Err(message)) => Err(StageError::Failed {
-                                    stage: Stage::Assimilation,
-                                    message,
-                                }),
-                                Ok(Ok(product)) => Ok(product),
-                            };
-                            if result.is_ok() {
-                                if let Some(deadline) = self.assimilation_deadline {
-                                    let deadline_s = deadline.as_secs_f64();
-                                    if assim_s > deadline_s {
-                                        // Late analysis: discard the product
-                                        // rather than delay every later cycle.
-                                        let _ = out_tx_assim.send(CycleReport {
-                                            cycle,
-                                            disposition: CycleDisposition::Skipped {
-                                                cause: SkipCause::Deadline(
-                                                    StageError::DeadlineExceeded {
-                                                        stage: Stage::Assimilation,
-                                                        elapsed_s: assim_s,
-                                                        deadline_s,
-                                                    },
-                                                ),
-                                            },
-                                            timing: None,
-                                            transfer_retries: retries,
-                                            drops,
-                                            egress: None,
-                                        });
-                                        continue;
-                                    }
-                                }
-                            }
-                            if ana_tx
-                                .send(AssimOutcome {
-                                    meta,
-                                    retries,
-                                    drops,
-                                    transfer_s,
-                                    assim_s,
-                                    result,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
+                            let volume = received.payload.and_then(|v| match fnv1a(&v) {
+                                got if got == expected => Ok(v),
+                                got => Err(StageError::CorruptVolume { expected, got }),
+                            });
+                            (received.retries, received.drops, transfer_s, volume)
                         }
+                    };
+                    let (assim_s, result) = match volume {
+                        Err(e) => (0.0, Err(e)),
+                        Ok(volume) => {
+                            let t1 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
+                            let result = run_stage(plan, Stage::Assimilation, cycle, || {
+                                assimilate(cycle, volume)
+                            });
+                            (t1.elapsed().as_secs_f64(), result)
+                        }
+                    };
+                    if let (Ok(_), Some(deadline)) = (&result, self.assimilation_deadline) {
+                        let deadline_s = deadline.as_secs_f64();
+                        if assim_s > deadline_s {
+                            // Late analysis: discard the product rather
+                            // than delay every later cycle.
+                            let _ = out_tx_assim.send(CycleReport {
+                                cycle,
+                                disposition: CycleDisposition::Skipped {
+                                    cause: SkipCause::Deadline(StageError::DeadlineExceeded {
+                                        stage: Stage::Assimilation,
+                                        elapsed_s: assim_s,
+                                        deadline_s,
+                                    }),
+                                },
+                                timing: None,
+                                transfer_retries: retries,
+                                drops,
+                                egress: None,
+                            });
+                            continue;
+                        }
+                    }
+                    let outcome = AssimOutcome {
+                        meta,
+                        retries,
+                        drops,
+                        transfer_s,
+                        assim_s,
+                        result,
+                    };
+                    if ana_tx.send(outcome).is_err() {
+                        return;
                     }
                 }
             });
@@ -763,14 +722,9 @@ impl CycleSupervisor {
                         }
                         _ => ForecastInput::Persistence,
                     };
-                    let inject_panic = plan.has(cycle, Fault::StagePanic(Stage::Forecast));
                     let t2 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if inject_panic {
-                            panic!("injected forecast panic (cycle {cycle})");
-                        }
-                        forecast(cycle, input)
-                    }));
+                    let outcome =
+                        run_stage(plan, Stage::Forecast, cycle, || forecast(cycle, input));
                     let forecast_s = t2.elapsed().as_secs_f64();
                     let time_to_solution_s = meta.t_obs.elapsed().as_secs_f64();
                     let timing = CycleTiming {
@@ -782,19 +736,8 @@ impl CycleSupervisor {
                         time_to_solution_s,
                     };
                     let disposition = match outcome {
-                        Err(p) => CycleDisposition::Failed {
-                            cause: StageError::Panicked {
-                                stage: Stage::Forecast,
-                                message: panic_message(p),
-                            },
-                        },
-                        Ok(Err(message)) => CycleDisposition::Failed {
-                            cause: StageError::Failed {
-                                stage: Stage::Forecast,
-                                message,
-                            },
-                        },
-                        Ok(Ok(())) => {
+                        Err(cause) => CycleDisposition::Failed { cause },
+                        Ok(()) => {
                             let late = self.forecast_deadline.and_then(|d| {
                                 let deadline_s = d.as_secs_f64();
                                 (forecast_s > deadline_s).then_some(deadline_s)
@@ -853,52 +796,38 @@ impl CycleSupervisor {
     /// Injected `TransferStall` faults consume the first watchdog windows
     /// deterministically: the receiver behaves exactly as if the stream had
     /// been silent for that many windows, regardless of thread scheduling.
-    fn receive_volume(
-        &self,
-        vol_rx: &mut SequencedReceiver,
-        cycle: usize,
-    ) -> Result<ReceivedVolume, (usize, Vec<DeliveryDrop>, StageError)> {
+    fn receive_volume(&self, vol_rx: &mut SequencedReceiver, cycle: usize) -> ReceivedVolume {
         // The receiver's campaign clock: cycle C runs at C * interval.
         let now = cycle as f64 * self.scan_interval_s;
+        let expected_seq = cycle as u64;
         let mut injected_left = self.faults.stall_timeouts(cycle);
         let mut timeouts = 0usize;
         let mut drops = Vec::new();
         // Shared retry policy (unjittered so the watchdog's historical
         // delay schedule — base * 2^min(n-1, 4) — is preserved exactly).
         let mut backoff = Backoff::new(self.backoff_base, self.backoff_base * 16);
-        loop {
-            let stalled = if injected_left > 0 {
+        let payload = loop {
+            if injected_left > 0 {
                 injected_left -= 1;
                 std::thread::sleep(self.stall_timeout);
-                true
             } else {
                 match vol_rx.recv_timeout(now, self.stall_timeout) {
-                    Ok(v) => {
-                        if v.seq < cycle as u64 {
-                            // Late volume from an abandoned cycle: newest
-                            // (this cycle) wins.
-                            drops.push(DeliveryDrop::OutOfOrder {
-                                seq: v.seq,
-                                newest: cycle as u64,
-                            });
-                            continue;
-                        }
-                        if v.seq > cycle as u64 {
-                            return Err((
-                                timeouts,
-                                drops,
-                                StageError::Pipe(format!(
-                                    "volume seq {} ahead of expected cycle {cycle}",
-                                    v.seq
-                                )),
-                            ));
-                        }
-                        return Ok(ReceivedVolume {
-                            retries: timeouts,
-                            drops,
-                            payload: v.payload,
+                    // Late volume from an abandoned cycle: newest (this
+                    // cycle) wins.
+                    Ok(v) if v.seq < expected_seq => {
+                        drops.push(DeliveryDrop::OutOfOrder {
+                            seq: v.seq,
+                            newest: expected_seq,
                         });
+                        continue;
                     }
+                    Ok(v) if v.seq > expected_seq => {
+                        break Err(StageError::Pipe(format!(
+                            "volume seq {} ahead of expected cycle {cycle}",
+                            v.seq
+                        )));
+                    }
+                    Ok(v) => break Ok(v.payload),
                     Err(DeliveryError::Duplicate { seq }) => {
                         drops.push(DeliveryDrop::Duplicate { seq });
                         continue;
@@ -909,33 +838,27 @@ impl CycleSupervisor {
                     }
                     Err(DeliveryError::Stale {
                         age_s, horizon_s, ..
-                    }) => {
-                        return Err((timeouts, drops, StageError::StaleScan { age_s, horizon_s }));
-                    }
+                    }) => break Err(StageError::StaleScan { age_s, horizon_s }),
                     Err(DeliveryError::Truncated { expected, got }) => {
-                        return Err((
-                            timeouts,
-                            drops,
-                            StageError::TruncatedVolume { expected, got },
-                        ));
+                        break Err(StageError::TruncatedVolume { expected, got })
                     }
-                    Err(DeliveryError::Pipe(PipeError::Stalled)) => true,
-                    Err(e) => return Err((timeouts, drops, StageError::Pipe(e.to_string()))),
-                }
-            };
-            if stalled {
-                timeouts += 1;
-                if timeouts > self.max_restarts {
-                    return Err((
-                        timeouts,
-                        drops,
-                        StageError::TransferTimeout { attempts: timeouts },
-                    ));
-                }
-                if let Some(delay) = backoff.next_delay() {
-                    std::thread::sleep(delay);
+                    Err(DeliveryError::Pipe(PipeError::Stalled)) => {}
+                    Err(e) => break Err(StageError::Pipe(e.to_string())),
                 }
             }
+            // A watchdog window elapsed with no progress.
+            timeouts += 1;
+            if timeouts > self.max_restarts {
+                break Err(StageError::TransferTimeout { attempts: timeouts });
+            }
+            if let Some(delay) = backoff.next_delay() {
+                std::thread::sleep(delay);
+            }
+        };
+        ReceivedVolume {
+            retries: timeouts,
+            drops,
+            payload,
         }
     }
 }
@@ -1347,21 +1270,94 @@ mod tests {
         assert!(!report.table().contains("egress"));
     }
 
+    fn sleepy(ms: u64) {
+        std::thread::sleep(Duration::from_millis(ms));
+    }
+
     #[test]
-    fn no_faults_matches_unsupervised_semantics() {
-        // Same closures through RealtimePipeline and CycleSupervisor with
-        // no faults: both must see every cycle with a fresh analysis.
-        let p = RealtimePipeline::default();
-        let plain = p.run(
-            4,
-            |c| Bytes::from(vec![c as u8; 10]),
-            |c, _| c,
-            |c, product| assert_eq!(product, c),
-        );
+    fn stages_overlap_across_cycles() {
+        // Every stage sleeps 20 ms. Run serially, the cycles would take at
+        // least the sum of their measured stage times; pipelined, cycle
+        // n+1 scans while cycle n assimilates, so the wall time must come
+        // in well under that sum however slow the host's sleeps run.
         let sup = CycleSupervisor::default();
-        let (report, log) = counting_stages(4, &sup);
-        assert_eq!(plain.len(), report.cycles.len());
-        assert_eq!(report.completed(), 4);
-        assert!(log.iter().all(|(_, k)| *k == "fresh"));
+        let t0 = Instant::now(); // bda-check: allow(wallclock) — wall-time telemetry column
+        let report = sup.run(
+            8,
+            |_| {
+                sleepy(20);
+                Ok(Bytes::from_static(b"v"))
+            },
+            |c, _| {
+                sleepy(20);
+                Ok(c)
+            },
+            |_, _: ForecastInput<'_, usize>| {
+                sleepy(20);
+                Ok(())
+            },
+        );
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(report.completed(), 8);
+        let serial: f64 = report
+            .cycles
+            .iter()
+            .map(|c| c.timing.unwrap())
+            .map(|t| t.scan_s + t.assimilation_s + t.forecast_s)
+            .sum();
+        assert!(
+            wall < 0.8 * serial,
+            "no overlap: wall {wall:.3} s vs serial stage sum {serial:.3} s"
+        );
+    }
+
+    #[test]
+    fn volumes_beyond_pipe_capacity_arrive_byte_identical() {
+        // Larger than everything the pipe can hold in flight, so the radar
+        // thread must block on back-pressure mid-volume.
+        let len = CHUNK_BYTES * CAPACITY + 12_345;
+        let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let expect = payload.clone();
+        let sup = CycleSupervisor::default();
+        let report = sup.run(
+            2,
+            move |_| Ok(Bytes::from(payload.clone())),
+            move |_, v: Bytes| {
+                assert!(v[..] == expect[..], "volume changed in transit");
+                Ok(v.len())
+            },
+            |_, input: ForecastInput<'_, usize>| match input {
+                ForecastInput::Analysis(&n) if n == len => Ok(()),
+                _ => Err("wrong product".to_string()),
+            },
+        );
+        assert_eq!(report.completed(), 2, "{}", report.table());
+    }
+
+    #[test]
+    fn time_to_solution_covers_assimilation_and_forecast() {
+        let sup = CycleSupervisor::default();
+        let report = sup.run(
+            3,
+            |_| Ok(Bytes::from_static(b"volume")),
+            |c, _| {
+                sleepy(20);
+                Ok(c)
+            },
+            |_, _: ForecastInput<'_, usize>| {
+                sleepy(30);
+                Ok(())
+            },
+        );
+        assert_eq!(report.completed(), 3);
+        for t in report.cycles.iter().map(|c| c.timing.unwrap()) {
+            assert!(t.assimilation_s >= 0.018, "assim {:.3}", t.assimilation_s);
+            assert!(t.forecast_s >= 0.028, "forecast {:.3}", t.forecast_s);
+            assert!(
+                t.time_to_solution_s >= t.assimilation_s + t.forecast_s - 1e-6,
+                "tts {:.3} < sum of stages",
+                t.time_to_solution_s
+            );
+        }
     }
 }
