@@ -19,16 +19,17 @@
 //! * `--cycles N`          timed cycles per thread count (default 6)
 //! * `--threads a,b,c`     thread counts to sweep (default 1,2,4,8)
 //! * `--out PATH`          output path (default `<repo>/BENCH_9.json`)
-//! * `--assert-speedup X`  exit non-zero unless speedup at the highest
-//!   thread count ≤ host cores reaches X. Skipped (with a notice) when
-//!   the host has fewer cores than every multi-thread point — a 1-core
-//!   box cannot measure scaling, only CI's 4-vCPU runner can.
+//!
+//! The speedup floor is gated on the written file by `perf_gate
+//! --require-speedup`.
 //!
 //! If the output file already exists and the host has fewer cores than the
 //! widest sweep point, the whole run is skipped (with a notice) instead of
 //! replacing a wide runner's results with numbers a narrow host cannot
 //! measure.
 
+use bda_bench::cli;
+use bda_bench::json::{self, Value};
 use bda_bench::reduced_osse;
 use bda_num::timing;
 use rayon::ThreadPoolBuilder;
@@ -101,39 +102,12 @@ fn attribute_kernels(cycles: usize) -> Vec<KernelRow> {
 }
 
 fn main() {
-    let mut cycles = 6usize;
-    let mut threads: Vec<usize> = vec![1, 2, 4, 8];
-    let mut out = format!("{}/../../BENCH_9.json", env!("CARGO_MANIFEST_DIR"));
-    let mut assert_speedup: Option<f64> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--cycles" => {
-                cycles = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cycles takes a positive integer");
-            }
-            "--threads" => {
-                let spec = args.next().expect("--threads takes a,b,c");
-                threads = spec
-                    .split(',')
-                    .map(|t| t.trim().parse().expect("--threads entries are integers"))
-                    .collect();
-            }
-            "--out" => out = args.next().expect("--out takes a path"),
-            "--assert-speedup" => {
-                assert_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--assert-speedup takes a number"),
-                );
-            }
-            // cargo bench forwards `--bench` and filter strings; ignore.
-            _ => {}
-        }
-    }
+    // cargo bench forwards `--bench` and filter strings; they are ignored.
+    let argv: Vec<String> = std::env::args().collect();
+    let cycles: usize = cli::flag(&argv, "--cycles").unwrap_or(6);
+    let threads: Vec<usize> = cli::list(&argv, "--threads").unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let out = cli::flag(&argv, "--out")
+        .unwrap_or_else(|| format!("{}/../../BENCH_9.json", env!("CARGO_MANIFEST_DIR")));
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("cycle_scaling: host_cores={host_cores} cycles/point={cycles} sweep={threads:?}");
@@ -176,64 +150,28 @@ fn main() {
         );
     }
 
-    // vendor/serde_json is an empty facade, so the JSON is assembled by
-    // hand; the shape is stable for downstream trajectory tooling.
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"threads\": {}, \"mean_cycle_s\": {:.6}, \"speedup\": {:.4} }}",
-                p.threads, p.mean_cycle_s, p.speedup
-            )
-        })
-        .collect();
-    let krows: Vec<String> = kernels
-        .iter()
-        .map(|k| {
-            format!(
-                "    {{ \"name\": \"{}\", \"mean_s_per_cycle\": {:.6}, \"calls_per_cycle\": {:.1} }}",
-                k.name, k.mean_s_per_cycle, k.calls_per_cycle
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"cycle_scaling\",\n  \"config\": \"OsseConfig::reduced(24, 12, 16, 3, 4)\",\n  \"host_cores\": {},\n  \"cycles_per_point\": {},\n  \"results\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        host_cores,
-        cycles,
-        rows.join(",\n"),
-        krows.join(",\n")
-    );
-    std::fs::write(&out, &json).expect("writing BENCH JSON");
+    let rows = points.iter().map(|p| {
+        json::obj([
+            ("threads", p.threads.into()),
+            ("mean_cycle_s", json::fixed(p.mean_cycle_s, 6)),
+            ("speedup", json::fixed(p.speedup, 4)),
+        ])
+    });
+    let krows = kernels.iter().map(|k| {
+        json::obj([
+            ("name", k.name.into()),
+            ("mean_s_per_cycle", json::fixed(k.mean_s_per_cycle, 6)),
+            ("calls_per_cycle", json::fixed(k.calls_per_cycle, 1)),
+        ])
+    });
+    let doc = json::obj([
+        ("bench", "cycle_scaling".into()),
+        ("config", "OsseConfig::reduced(24, 12, 16, 3, 4)".into()),
+        ("host_cores", host_cores.into()),
+        ("cycles_per_point", cycles.into()),
+        ("results", Value::Arr(rows.collect())),
+        ("kernels", Value::Arr(krows.collect())),
+    ]);
+    std::fs::write(&out, json::render(&doc)).expect("writing BENCH JSON");
     eprintln!("cycle_scaling: wrote {out}");
-
-    if let Some(min) = assert_speedup {
-        // Gate on the widest sweep point the host can actually run in
-        // parallel; a 1-core container has no such point and must not
-        // report a fake pass *or* a fake failure.
-        let gated = points
-            .iter()
-            .filter(|p| p.threads > 1 && p.threads <= host_cores)
-            .max_by_key(|p| p.threads);
-        match gated {
-            Some(p) if p.speedup >= min => {
-                eprintln!(
-                    "cycle_scaling: speedup gate OK ({:.2}x >= {min}x at {} threads)",
-                    p.speedup, p.threads
-                );
-            }
-            Some(p) => {
-                eprintln!(
-                    "cycle_scaling: FAIL — speedup {:.2}x < required {min}x at {} threads",
-                    p.speedup, p.threads
-                );
-                std::process::exit(1);
-            }
-            None => {
-                eprintln!(
-                    "cycle_scaling: speedup gate skipped — host has {host_cores} core(s), \
-                     no multi-thread point can scale here"
-                );
-            }
-        }
-    }
 }

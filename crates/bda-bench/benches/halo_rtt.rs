@@ -27,6 +27,8 @@
 //! * `--members N`   ensemble members per frame (default 4)
 //! * `--out PATH`    output path (default `<repo>/BENCH_8.json`)
 
+use bda_bench::cli;
+use bda_bench::json::{self, Value};
 use bda_shard::netbus::{NetBus, NetBusConfig};
 use bda_shard::{CollectStatus, HaloBus, HaloFrame, HaloMsg, HaloTransport};
 use std::path::PathBuf;
@@ -139,37 +141,12 @@ fn socket_point(strip_len: usize, members: usize, reps: usize) -> Point {
 }
 
 fn main() {
-    let mut reps = 200usize;
-    let mut points: Vec<usize> = vec![256, 4096, 65536];
-    let mut members = 4usize;
-    let mut out = format!("{}/../../BENCH_8.json", env!("CARGO_MANIFEST_DIR"));
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps takes a positive integer");
-            }
-            "--points" => {
-                let spec = args.next().expect("--points takes a,b,c");
-                points = spec
-                    .split(',')
-                    .map(|t| t.trim().parse().expect("--points entries are integers"))
-                    .collect();
-            }
-            "--members" => {
-                members = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--members takes a positive integer");
-            }
-            "--out" => out = args.next().expect("--out takes a path"),
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().collect();
+    let reps: usize = cli::flag(&argv, "--reps").unwrap_or(200);
+    let points: Vec<usize> = cli::list(&argv, "--points").unwrap_or_else(|| vec![256, 4096, 65536]);
+    let members: usize = cli::flag(&argv, "--members").unwrap_or(4);
+    let out = cli::flag(&argv, "--out")
+        .unwrap_or_else(|| format!("{}/../../BENCH_8.json", env!("CARGO_MANIFEST_DIR")));
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
@@ -187,25 +164,27 @@ fn main() {
         }
     }
 
-    // vendor/serde_json is an empty facade, so the JSON is assembled by
-    // hand; the shape is stable for downstream trajectory tooling.
-    let rows: Vec<String> = results
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"transport\": \"{}\", \"strip_len\": {}, \"members\": {}, \
-                 \"payload_bytes\": {}, \"mean_ms\": {:.4}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4} }}",
-                p.transport, p.strip_len, p.members, p.payload_bytes, p.mean_ms, p.p50_ms, p.p99_ms
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"halo_rtt\",\n  \"collector_poll_us\": {},\n  \"host_cores\": {},\n  \"reps_per_point\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        POLL.as_micros(),
-        host_cores,
-        reps,
-        rows.join(",\n")
-    );
-    std::fs::write(&out, &json).expect("writing BENCH_8.json");
+    let rows = results.iter().map(|p| {
+        json::obj([
+            ("transport", p.transport.into()),
+            ("strip_len", p.strip_len.into()),
+            ("members", p.members.into()),
+            ("payload_bytes", p.payload_bytes.into()),
+            ("mean_ms", json::fixed(p.mean_ms, 4)),
+            ("p50_ms", json::fixed(p.p50_ms, 4)),
+            ("p99_ms", json::fixed(p.p99_ms, 4)),
+        ])
+    });
+    let doc = json::obj([
+        ("bench", "halo_rtt".into()),
+        (
+            "collector_poll_us",
+            json::fixed(POLL.as_secs_f64() * 1e6, 0),
+        ),
+        ("host_cores", host_cores.into()),
+        ("reps_per_point", reps.into()),
+        ("results", Value::Arr(rows.collect())),
+    ]);
+    std::fs::write(&out, json::render(&doc)).expect("writing BENCH_8.json");
     eprintln!("halo_rtt: wrote {out}");
 }

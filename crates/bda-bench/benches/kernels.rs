@@ -16,6 +16,8 @@
 //! * `--out PATH`   output path (default `<repo>/BENCH_9_kernels.json`)
 //! * `--reps N`     measured repetitions per kernel (default 200)
 
+use bda_bench::cli;
+use bda_bench::json::{self, Value};
 use bda_bench::{rng, spd_batch};
 use bda_num::matrix::{axpy8, dot8, MatrixS};
 use bda_num::tridiag::ThomasFactor;
@@ -105,22 +107,10 @@ fn axpy8_bench(n: usize, reps: usize) -> f64 {
 }
 
 fn main() {
-    let mut out = format!("{}/../../BENCH_9_kernels.json", env!("CARGO_MANIFEST_DIR"));
-    let mut reps = 200usize;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = args.next().expect("--out takes a path"),
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps takes a positive integer");
-            }
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().collect();
+    let out = cli::flag(&argv, "--out")
+        .unwrap_or_else(|| format!("{}/../../BENCH_9_kernels.json", env!("CARGO_MANIFEST_DIR")));
+    let reps: usize = cli::flag(&argv, "--reps").unwrap_or(200);
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("kernels: host_cores={host_cores} reps={reps}");
@@ -155,21 +145,18 @@ fn main() {
         eprintln!("  {:<22} {:10.4} us", r.name, r.mean_us);
     }
 
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"name\": \"{}\", \"mean_us\": {:.6} }}",
-                r.name, r.mean_us
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"host_cores\": {},\n  \"reps\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        host_cores,
-        reps,
-        body.join(",\n")
-    );
-    std::fs::write(&out, &json).expect("writing kernels BENCH JSON");
+    let body = rows.iter().map(|r| {
+        json::obj([
+            ("name", r.name.into()),
+            ("mean_us", json::fixed(r.mean_us, 6)),
+        ])
+    });
+    let doc = json::obj([
+        ("bench", "kernels".into()),
+        ("host_cores", host_cores.into()),
+        ("reps", reps.into()),
+        ("results", Value::Arr(body.collect())),
+    ]);
+    std::fs::write(&out, json::render(&doc)).expect("writing kernels BENCH JSON");
     eprintln!("kernels: wrote {out}");
 }

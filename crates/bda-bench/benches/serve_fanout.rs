@@ -17,6 +17,8 @@
 //! * `--clients a,b,c`  subscriber counts to sweep (default 4,16,64,256)
 //! * `--out PATH`       output path (default `<repo>/BENCH_6.json`)
 
+use bda_bench::cli;
+use bda_bench::json::{self, Value};
 use bda_serve::server::{NowcastServer, ServeConfig};
 use bda_serve::storm::{StormSwarm, SwarmConfig};
 use bda_serve::tile::synthetic_reflectivity;
@@ -113,30 +115,11 @@ fn measure(clients: usize, cycles: usize) -> Point {
 }
 
 fn main() {
-    let mut cycles = 30usize;
-    let mut clients: Vec<usize> = vec![4, 16, 64, 256];
-    let mut out = format!("{}/../../BENCH_6.json", env!("CARGO_MANIFEST_DIR"));
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--cycles" => {
-                cycles = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cycles takes a positive integer");
-            }
-            "--clients" => {
-                let spec = args.next().expect("--clients takes a,b,c");
-                clients = spec
-                    .split(',')
-                    .map(|t| t.trim().parse().expect("--clients entries are integers"))
-                    .collect();
-            }
-            "--out" => out = args.next().expect("--out takes a path"),
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().collect();
+    let cycles: usize = cli::flag(&argv, "--cycles").unwrap_or(30);
+    let clients: Vec<usize> = cli::list(&argv, "--clients").unwrap_or_else(|| vec![4, 16, 64, 256]);
+    let out = cli::flag(&argv, "--out")
+        .unwrap_or_else(|| format!("{}/../../BENCH_6.json", env!("CARGO_MANIFEST_DIR")));
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("serve_fanout: host_cores={host_cores} cycles/point={cycles} sweep={clients:?}");
@@ -151,29 +134,28 @@ fn main() {
         points.push(p);
     }
 
-    // vendor/serde_json is an empty facade, so the JSON is assembled by
-    // hand; the shape is stable for downstream trajectory tooling.
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"clients\": {}, \"frames_per_cycle\": {}, \"mean_publish_ms\": {:.4}, \
-                 \"p99_cycle_ms\": {:.4}, \"throughput_mb_s\": {:.4}, \"evicted\": {} }}",
-                p.clients,
-                p.frames_per_cycle,
-                p.mean_publish_ms,
-                p.p99_cycle_ms,
-                p.throughput_mb_s,
-                p.evicted
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"serve_fanout\",\n  \"grid\": \"{W}x{H} dBZ, 32px tiles, 3 zoom levels\",\n  \"host_cores\": {},\n  \"cycles_per_point\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        host_cores,
-        cycles,
-        rows.join(",\n")
-    );
-    std::fs::write(&out, &json).expect("writing BENCH_6.json");
+    let rows = points.iter().map(|p| {
+        json::obj([
+            ("clients", p.clients.into()),
+            ("frames_per_cycle", p.frames_per_cycle.into()),
+            ("mean_publish_ms", json::fixed(p.mean_publish_ms, 4)),
+            ("p99_cycle_ms", json::fixed(p.p99_cycle_ms, 4)),
+            ("throughput_mb_s", json::fixed(p.throughput_mb_s, 4)),
+            ("evicted", p.evicted.into()),
+        ])
+    });
+    let doc = json::obj([
+        ("bench", "serve_fanout".into()),
+        (
+            "grid",
+            format!("{W}x{H} dBZ, 32px tiles, 3 zoom levels")
+                .as_str()
+                .into(),
+        ),
+        ("host_cores", host_cores.into()),
+        ("cycles_per_point", cycles.into()),
+        ("results", Value::Arr(rows.collect())),
+    ]);
+    std::fs::write(&out, json::render(&doc)).expect("writing BENCH_6.json");
     eprintln!("serve_fanout: wrote {out}");
 }

@@ -12,6 +12,7 @@
 //! Usage: `bench_trajectory [--root DIR] [--out PATH]`
 //! (defaults: repo root, `<root>/trajectory.md`).
 
+use bda_bench::cli;
 use bda_bench::json::{self, Value};
 use std::collections::BTreeMap;
 
@@ -45,28 +46,12 @@ fn format_value(x: f64) -> String {
     }
 }
 
-/// Flag-parse failure: print and exit 2 (distinct from a validation failure's 1).
-fn usage(msg: &str) -> ! {
-    eprintln!("bench_trajectory: {msg}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--root" => {
-                root = args
-                    .next()
-                    .unwrap_or_else(|| usage("--root takes a directory"))
-            }
-            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage("--out takes a path"))),
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-    let out_path = out_path.unwrap_or_else(|| format!("{root}/trajectory.md"));
+    let argv: Vec<String> = std::env::args().collect();
+    cli::only(&argv, &["--root", "--out"], &[]);
+    let root: String = cli::flag(&argv, "--root")
+        .unwrap_or_else(|| format!("{}/../..", env!("CARGO_MANIFEST_DIR")));
+    let out_path = cli::flag(&argv, "--out").unwrap_or_else(|| format!("{root}/trajectory.md"));
 
     let mut files: Vec<BenchFile> = Vec::new();
     let mut errors: Vec<String> = Vec::new();

@@ -16,12 +16,15 @@
 //! committed baseline should be refreshed from a same-shape runner.
 //!
 //! `--require-speedup X --at-threads N` additionally requires the fresh
-//! `cycle_scaling` sweep to reach `X`x speedup at `N` threads; skipped
-//! (with a notice) when the fresh host has fewer than `N` cores, because a
-//! narrow host cannot measure scaling at all.
+//! `cycle_scaling` sweep to reach `X`x speedup at the widest multi-thread
+//! point the fresh host can run in parallel (threads ≤ its cores) and, on a
+//! host with at least `N` cores, at the `N`-thread point, which must then
+//! exist. Skipped (with a notice) when the host has no such point: a 1-core
+//! host cannot measure scaling at all.
 //!
-//! Exit status: 0 = pass, 1 = regression or malformed input.
+//! Exit status: 0 = pass, 1 = regression or malformed input, 2 = usage error.
 
+use bda_bench::cli;
 use bda_bench::json::{self, Value};
 
 struct Args {
@@ -33,67 +36,46 @@ struct Args {
     at_threads: usize,
 }
 
-/// Flag-parse failure: print and exit 2 (distinct from a perf failure's 1).
-fn usage(msg: &str) -> ! {
-    eprintln!("perf_gate: {msg}");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
-    let mut out = Args {
-        baseline: String::new(),
-        fresh: String::new(),
-        max_regression_pct: 10.0,
-        cross_host_grace: 3.0,
-        require_speedup: None,
-        at_threads: 4,
+    let argv: Vec<String> = std::env::args().collect();
+    let valued = [
+        "--baseline",
+        "--fresh",
+        "--max-regression",
+        "--cross-host-grace",
+        "--require-speedup",
+        "--at-threads",
+    ];
+    cli::only(&argv, &valued, &[]);
+    let (Some(baseline), Some(fresh)) =
+        (cli::flag(&argv, "--baseline"), cli::flag(&argv, "--fresh"))
+    else {
+        cli::usage("perf_gate: --baseline and --fresh are both required");
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{what} takes a value")))
-        };
-        match a.as_str() {
-            "--baseline" => out.baseline = take("--baseline"),
-            "--fresh" => out.fresh = take("--fresh"),
-            "--max-regression" => {
-                out.max_regression_pct = take("--max-regression")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-regression takes a percentage"))
-            }
-            "--cross-host-grace" => {
-                out.cross_host_grace = take("--cross-host-grace")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--cross-host-grace takes a factor"))
-            }
-            "--require-speedup" => {
-                out.require_speedup = Some(
-                    take("--require-speedup")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--require-speedup takes a number")),
-                )
-            }
-            "--at-threads" => {
-                out.at_threads = take("--at-threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--at-threads takes an integer"))
-            }
-            other => usage(&format!("unknown flag {other}")),
-        }
+    Args {
+        baseline,
+        fresh,
+        max_regression_pct: cli::flag(&argv, "--max-regression").unwrap_or(10.0),
+        cross_host_grace: cli::flag(&argv, "--cross-host-grace").unwrap_or(3.0),
+        require_speedup: cli::flag(&argv, "--require-speedup"),
+        at_threads: cli::flag(&argv, "--at-threads").unwrap_or(4),
     }
-    if out.baseline.is_empty() || out.fresh.is_empty() {
-        usage("--baseline and --fresh are both required");
-    }
-    out
 }
 
+/// A validated BENCH document; an unreadable or malformed file fails the
+/// gate (exit 1).
 fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_gate: cannot read {path}: {e}"));
-    let doc = json::parse(&text).unwrap_or_else(|e| panic!("perf_gate: {path}: {e}"));
-    json::validate_bench(&doc).unwrap_or_else(|e| panic!("perf_gate: {path}: bad shape: {e}"));
-    doc
+    let doc = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| json::parse(&text))
+        .and_then(|doc| {
+            json::validate_bench(&doc).map_err(|e| format!("bad shape: {e}"))?;
+            Ok(doc)
+        });
+    doc.unwrap_or_else(|e| {
+        eprintln!("perf_gate: FAIL — {path}: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The gated metrics of one document: `(label, seconds-like value)`.
@@ -139,6 +121,62 @@ fn gated_metrics(doc: &Value) -> Vec<(String, f64)> {
         }
     }
     out
+}
+
+/// Verdict of the speedup gate on a fresh `cycle_scaling` sweep.
+#[derive(Debug, PartialEq)]
+enum SpeedupGate {
+    Skipped,
+    Pass,
+    Fail,
+}
+
+/// Check the sweep's speedup against `min` at the widest multi-thread
+/// point with threads ≤ the host's cores and, on a host of at least
+/// `at_threads` cores, at the `at_threads` point (see the module docs).
+fn speedup_gate(fresh: &Value, min: f64, at_threads: usize) -> SpeedupGate {
+    let cores = fresh
+        .get("host_cores")
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0);
+    let rows = fresh
+        .get("results")
+        .and_then(Value::as_array)
+        .unwrap_or(&[]);
+    let threads = |row: &Value| row.get("threads").and_then(Value::as_f64);
+    let widest = (rows.iter().filter_map(threads))
+        .filter(|&t| t > 1.0 && t <= cores)
+        .reduce(f64::max);
+    let at = bda_num::cast::f64_of(at_threads);
+    let mut gated: Vec<f64> = widest.into_iter().collect();
+    if cores >= at && widest != Some(at) {
+        gated.push(at);
+    }
+    if gated.is_empty() {
+        eprintln!(
+            "perf_gate: speedup gate skipped — fresh host has {cores:.0} core(s), \
+             no multi-thread point can scale there"
+        );
+        return SpeedupGate::Skipped;
+    }
+    let mut verdict = SpeedupGate::Pass;
+    for t in gated {
+        let row = rows.iter().find(|row| threads(row) == Some(t));
+        match row.and_then(|row| row.get("speedup").and_then(Value::as_f64)) {
+            Some(s) if s >= min => {
+                eprintln!("perf_gate: speedup gate OK ({s:.2}x >= {min}x at {t} threads)");
+            }
+            Some(s) => {
+                eprintln!("perf_gate: FAIL — speedup {s:.2}x < required {min}x at {t} threads");
+                verdict = SpeedupGate::Fail;
+            }
+            None => {
+                eprintln!("perf_gate: FAIL — fresh sweep has no {t}-thread speedup to gate");
+                verdict = SpeedupGate::Fail;
+            }
+        }
+    }
+    verdict
 }
 
 fn main() {
@@ -211,44 +249,8 @@ fn main() {
     if let Some(min) = args.require_speedup {
         if f_kind != "cycle_scaling" {
             eprintln!("perf_gate: note — --require-speedup only applies to cycle_scaling");
-        } else if f_cores < args.at_threads as f64 {
-            eprintln!(
-                "perf_gate: speedup gate skipped — fresh host has {f_cores:.0} core(s), \
-                 cannot measure {} threads",
-                args.at_threads
-            );
-        } else {
-            let speedup = fresh
-                .get("results")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-                .find(|row| {
-                    row.get("threads").and_then(Value::as_f64) == Some(args.at_threads as f64)
-                })
-                .and_then(|row| row.get("speedup").and_then(Value::as_f64));
-            match speedup {
-                Some(s) if s >= min => {
-                    eprintln!(
-                        "perf_gate: speedup gate OK ({s:.2}x >= {min}x at {} threads)",
-                        args.at_threads
-                    );
-                }
-                Some(s) => {
-                    eprintln!(
-                        "perf_gate: FAIL — speedup {s:.2}x < required {min}x at {} threads",
-                        args.at_threads
-                    );
-                    failures += 1;
-                }
-                None => {
-                    eprintln!(
-                        "perf_gate: FAIL — fresh sweep has no {}-thread point to gate",
-                        args.at_threads
-                    );
-                    failures += 1;
-                }
-            }
+        } else if speedup_gate(&fresh, min, args.at_threads) == SpeedupGate::Fail {
+            failures += 1;
         }
     }
 
@@ -257,4 +259,48 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("perf_gate: PASS");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh `cycle_scaling` file from a `cores`-core host.
+    fn sweep(cores: usize, speedups: &[(usize, f64)]) -> Value {
+        let rows = speedups
+            .iter()
+            .map(|&(t, s)| json::obj([("threads", t.into()), ("speedup", Value::Num(s))]));
+        json::obj([
+            ("bench", "cycle_scaling".into()),
+            ("host_cores", cores.into()),
+            ("results", Value::Arr(rows.collect())),
+        ])
+    }
+
+    #[test]
+    fn gates_the_widest_point_the_host_can_run() {
+        let four = sweep(4, &[(1, 1.0), (2, 1.8), (4, 1.4)]);
+        assert_eq!(speedup_gate(&four, 1.5, 4), SpeedupGate::Fail);
+        let two = sweep(2, &[(1, 1.0), (2, 1.4), (4, 2.0)]);
+        assert_eq!(speedup_gate(&two, 1.5, 4), SpeedupGate::Fail);
+        let good = sweep(4, &[(1, 1.0), (2, 1.4), (4, 1.6)]);
+        assert_eq!(speedup_gate(&good, 1.5, 4), SpeedupGate::Pass);
+    }
+
+    #[test]
+    fn a_wide_host_also_gates_the_named_point() {
+        // The 8-thread point scales, but the required 4-thread one does not.
+        let eight = sweep(8, &[(1, 1.0), (4, 1.4), (8, 1.6)]);
+        assert_eq!(speedup_gate(&eight, 1.5, 4), SpeedupGate::Fail);
+        let missing = sweep(4, &[(1, 1.0), (2, 1.6)]);
+        assert_eq!(speedup_gate(&missing, 1.5, 4), SpeedupGate::Fail);
+        let both = sweep(8, &[(1, 1.0), (4, 1.7), (8, 2.5)]);
+        assert_eq!(speedup_gate(&both, 1.5, 4), SpeedupGate::Pass);
+    }
+
+    #[test]
+    fn a_one_core_host_skips() {
+        let one = sweep(1, &[(1, 1.0), (2, 0.9), (4, 0.8)]);
+        assert_eq!(speedup_gate(&one, 1.5, 4), SpeedupGate::Skipped);
+    }
 }

@@ -1,9 +1,10 @@
-//! Minimal JSON parsing and BENCH-file shape validation.
+//! Minimal JSON parsing, rendering and BENCH-file shape validation.
 //!
 //! `vendor/serde_json` is an empty facade in this workspace, so the perf
-//! tooling (`perf_gate`, `bench_trajectory`) carries its own
-//! recursive-descent parser. It covers the full JSON grammar; it does not
-//! try to be fast — BENCH files are a few hundred bytes.
+//! tooling carries its own recursive-descent parser and the one writer,
+//! [`render`], that every BENCH-writing bench goes through. The parser
+//! covers the full JSON grammar; neither tries to be fast — BENCH files
+//! are a few hundred bytes.
 //!
 //! Every `BENCH_*.json` at the repo root must satisfy [`validate_bench`]:
 //! a top-level object with a `"bench"` string, a `"host_cores"` number and
@@ -13,6 +14,7 @@
 //! this check over every committed BENCH file.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A parsed JSON value. Object keys keep insertion order via the side
 /// vector in [`Value::Obj`]; lookup is by linear scan (objects are tiny).
@@ -62,6 +64,94 @@ impl Value {
             _ => None,
         }
     }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Num(bda_num::cast::f64_of(n))
+    }
+}
+
+/// An object with `fields` in the given order.
+pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// `x` rounded to `decimals` places: BENCH figures carry a fixed
+/// precision, not the timer's noise digits.
+pub fn fixed(x: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    Value::Num((x * scale).round() / scale)
+}
+
+/// Render `value` as a BENCH file: one field or element per line with
+/// two-space indentation, except that an object or array of scalars stays
+/// on one line (so each results row is one line). Numbers print in their
+/// shortest exact form, so [`parse`] gets the same value back; non-finite
+/// numbers, which JSON cannot carry, render as `null`.
+pub fn render(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, 0);
+    out.push('\n');
+    out
+}
+
+fn write_value(out: &mut String, value: &Value, indent: usize) {
+    let items: Vec<(Option<&str>, &Value)> = match value {
+        Value::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+        Value::Obj(fields) => fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        Value::Str(s) => return write_string(out, s),
+        Value::Num(x) if x.is_finite() => return out.push_str(&x.to_string()),
+        Value::Bool(b) => return out.push_str(&b.to_string()),
+        Value::Num(_) | Value::Null => return out.push_str("null"),
+    };
+    let (open, close) = match value {
+        Value::Arr(_) => ('[', ']'),
+        _ => ('{', '}'),
+    };
+    let flat = (items.iter()).all(|(_, v)| !matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let end = if flat {
+        " ".to_string()
+    } else {
+        format!("\n{}", " ".repeat(indent))
+    };
+    out.push(open);
+    for (i, (key, v)) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "" } else { "," });
+        out.push_str(&end);
+        out.push_str(if flat { "" } else { "  " });
+        if let Some(key) = key {
+            write_string(out, key);
+            out.push_str(": ");
+        }
+        write_value(out, v, indent + 2);
+    }
+    if !items.is_empty() {
+        out.push_str(&end);
+    }
+    out.push(close);
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => _ = write!(out, "\\u{:04x}", u32::from(c)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
@@ -404,6 +494,51 @@ mod tests {
 
         let unnamed_kernel = r#"{ "bench": "x", "host_cores": 1, "results": [ { "a": 1 } ], "kernels": [ { "mean_s_per_cycle": 0.1 } ] }"#;
         assert!(validate_bench(&parse(unnamed_kernel).unwrap()).is_err());
+    }
+
+    #[test]
+    fn every_committed_bench_file_survives_render() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(root).expect("repo root") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let doc = parse(&std::fs::read_to_string(&path).unwrap()).expect(name);
+            let again = parse(&render(&doc)).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(again, doc, "{name}");
+            validate_bench(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
+            seen += 1;
+        }
+        assert!(seen > 0, "no BENCH_*.json under {root}");
+    }
+
+    #[test]
+    fn render_keeps_rows_on_one_line_and_escapes_strings() {
+        let doc = obj([
+            ("bench", "k\"q\\\n".into()),
+            ("host_cores", 4.into()),
+            ("ok", Value::Bool(true)),
+            ("gone", Value::Num(f64::NAN)),
+            ("empty", Value::Arr(vec![])),
+            (
+                "results",
+                Value::Arr(vec![obj([
+                    ("threads", 1.into()),
+                    ("s", fixed(1.2345678, 4)),
+                ])]),
+            ),
+        ]);
+        let text = render(&doc);
+        assert_eq!(
+            text,
+            "{\n  \"bench\": \"k\\\"q\\\\\\n\",\n  \"host_cores\": 4,\n  \"ok\": true,\n  \
+             \"gone\": null,\n  \"empty\": [],\n  \"results\": [\n    \
+             { \"threads\": 1, \"s\": 1.2346 }\n  ]\n}\n"
+        );
+        assert_eq!(parse(&text).unwrap().get("bench"), doc.get("bench"));
     }
 
     #[test]

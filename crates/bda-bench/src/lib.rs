@@ -7,6 +7,7 @@
 //! consistent across the whole trajectory (`BENCH_*.json` points are only
 //! comparable if the fixtures never drift apart silently).
 
+pub mod cli;
 pub mod json;
 
 use bda_core::osse::{Osse, OsseConfig};

@@ -11,7 +11,7 @@
 use crate::osse::{CycleOutcome, Osse};
 use bda_io::checkpoint::{CampaignSnapshot, OutcomeRecord};
 use bda_num::Real;
-use bda_workflow::{CycleApp, FaultPlan};
+use bda_workflow::{CycleApp, Fault, FaultPlan};
 
 /// An OSSE wired for checkpointed, fault-injected campaign cycling.
 pub struct OsseCampaign<T: Real> {
@@ -74,11 +74,12 @@ impl<T: Real> OsseCampaign<T> {
 
 impl<T: Real> CycleApp<T> for OsseCampaign<T> {
     fn run_cycle(&mut self, cycle: usize) -> OutcomeRecord {
-        for m in self.faults.member_nans(cycle) {
-            self.osse.ensemble.inject_nan(m);
-        }
-        for m in self.faults.member_blowups(cycle) {
-            self.osse.ensemble.inject_blowup(m);
+        for fault in self.faults.faults_for(cycle) {
+            match *fault {
+                Fault::MemberNan { member } => self.osse.ensemble.inject_nan(member),
+                Fault::MemberBlowUp { member } => self.osse.ensemble.inject_blowup(member),
+                _ => {}
+            }
         }
         let out = self.osse.cycle();
         let record = Self::record_of(cycle, &out);
@@ -115,7 +116,7 @@ mod tests {
         // The ISSUE's acceptance scenario: `nan:2@2` over a short campaign —
         // every cycle must deliver a finite analysis, the dead member must
         // be respawned, and the outcome log must carry the quorum evidence.
-        let mut app = small_campaign(FaultPlan::none().nan_member(2, 2));
+        let mut app = small_campaign(FaultPlan::none().with(2, Fault::MemberNan { member: 2 }));
         let run = ResumableCampaign::new(4).run(&mut app).unwrap();
         assert_eq!(run.termination, CampaignTermination::Completed);
         assert_eq!(run.outcomes.len(), 4);
@@ -154,7 +155,7 @@ mod tests {
             n_cycles: 4,
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 1,
-            faults: FaultPlan::none().crash_at(2),
+            faults: FaultPlan::none().with(2, Fault::Crash),
         };
         let mut app = small_campaign(campaign.faults.clone());
         let first = campaign.run(&mut app).unwrap();

@@ -38,7 +38,7 @@ use crate::bus::HaloBus;
 use crate::netbus::{raw_registry_name, registry_name};
 use crate::wire::{NetFrameReader, WireEvent};
 use bda_num::{cast, SplitMix64};
-use bda_workflow::FaultPlan;
+use bda_workflow::{Fault, FaultPlan};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::io::{Read, Write};
@@ -293,17 +293,16 @@ fn verdict(shared: &ProxyShared, sender: usize, peer: usize, cycle: Option<u64>)
         return Verdict::Forward;
     };
     let c = cast::index_of_u64(cycle);
-    let pair = (sender.min(peer), sender.max(peer));
-    if shared.plan.partitions(c).contains(&pair) {
-        return Verdict::Drop;
+    let plan = &shared.plan;
+    if plan.has(c, Fault::Partition { a: sender, b: peer }) {
+        Verdict::Drop
+    } else if plan.has(c, Fault::NetStall { shard: sender }) {
+        Verdict::Hold
+    } else if plan.has(c, Fault::WireGarbage { shard: sender }) {
+        Verdict::Garble
+    } else {
+        Verdict::Forward
     }
-    if shared.plan.net_stalls(c).contains(&sender) {
-        return Verdict::Hold;
-    }
-    if shared.plan.wire_garbages(c).contains(&sender) {
-        return Verdict::Garble;
-    }
-    Verdict::Forward
 }
 
 /// Forward `raw` as damage: a run of seeded garbage (guaranteed free of
@@ -345,9 +344,9 @@ mod tests {
     #[test]
     fn verdicts_follow_the_schedule() {
         let plan = FaultPlan::none()
-            .partition(2, 0, 1)
-            .net_stall(3, 2)
-            .wire_garbage(4, 0);
+            .with(2, Fault::Partition { a: 0, b: 1 })
+            .with(3, Fault::NetStall { shard: 2 })
+            .with(4, Fault::WireGarbage { shard: 0 });
         let s = shared_for(plan);
         assert_eq!(verdict(&s, 0, 1, Some(2)), Verdict::Drop);
         assert_eq!(verdict(&s, 1, 0, Some(2)), Verdict::Drop);

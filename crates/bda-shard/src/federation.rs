@@ -28,7 +28,7 @@ use crate::netbus::{NetBus, NetBusConfig};
 use crate::worker::{ShardConfig, ShardWorker};
 use bda_core::osse::OsseConfig;
 use bda_num::Real;
-use bda_workflow::FaultPlan;
+use bda_workflow::{Fault, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -139,11 +139,13 @@ impl<T: Real, B: HaloTransport> Federation<T, B> {
     /// then all shards collect.
     pub fn run(&mut self) -> Result<(), String> {
         for cycle in 0..bda_num::cast::u64_of(self.cfg.n_cycles) {
-            for s in self
-                .cfg
-                .plan
-                .shard_kills(bda_num::cast::index_of_u64(cycle))
-            {
+            let kills: Vec<usize> = (self.cfg.plan)
+                .select(bda_num::cast::index_of_u64(cycle), |f| match *f {
+                    Fault::ShardKill { shard } => Some(shard),
+                    _ => None,
+                })
+                .collect();
+            for s in kills {
                 self.respawn(s, cycle)?;
             }
             let mut pendings = Vec::with_capacity(self.workers.len());

@@ -37,7 +37,7 @@ use bda_core::osse::{CycleOutcome, Osse, OsseConfig, PendingCycle};
 use bda_io::checkpoint::{latest_checkpoint_scoped, write_checkpoint_scoped, OutcomeRecord};
 use bda_jitdt::{SeqClass, SeqTracker};
 use bda_num::{cast, Real};
-use bda_workflow::FaultPlan;
+use bda_workflow::{Fault, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -216,9 +216,9 @@ impl<T: Real, B: HaloTransport> ShardWorker<T, B> {
 
         let c = cast::index_of_u64(cycle);
         let shard = self.cfg.shard;
-        let frame = if self.cfg.plan.shard_stalls(c).contains(&shard) {
+        let frame = if self.cfg.plan.has(c, Fault::ShardStall { shard }) {
             HaloFrame::Stall { shard, cycle }
-        } else if self.cfg.plan.halo_drops(c).contains(&shard) {
+        } else if self.cfg.plan.has(c, Fault::HaloDrop { shard }) {
             HaloFrame::Skip { shard, cycle }
         } else {
             HaloFrame::Strip(HaloMsg {

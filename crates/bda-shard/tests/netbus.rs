@@ -14,7 +14,7 @@ use bda_shard::netbus::{NetBus, NetBusConfig};
 use bda_shard::{
     CollectStatus, FederationConfig, HaloError, HaloFrame, HaloMsg, HaloTransport, NetFederation,
 };
-use bda_workflow::{FaultPlan, LinkHealth};
+use bda_workflow::{Fault, FaultPlan, LinkHealth};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -68,7 +68,8 @@ fn partition_degrades_both_sides_and_nobody_else() {
     // partition:0-1@1 — shards 0 and 1 cannot exchange cycle-1 traffic
     // (pushes, REQ pulls, replies — the proxy drops them all), so each
     // reuses the other's cycle-0 halo; shard 2 sees both sides fine.
-    let fed = run_net_federation(3, FaultPlan::none().partition(1, 0, 1), true, "partition");
+    let plan = FaultPlan::none().with(1, Fault::Partition { a: 0, b: 1 });
+    let fed = run_net_federation(3, plan, true, "partition");
     assert_eq!(labels(&fed, 0), ["completed", "halo-reuse", "completed"]);
     assert_eq!(labels(&fed, 1), ["completed", "halo-reuse", "completed"]);
     assert_eq!(labels(&fed, 2), ["completed", "completed", "completed"]);
@@ -86,7 +87,8 @@ fn netstall_degrades_the_listeners_not_the_laggard() {
     // netstall:1@1 — shard 1's cycle-1 messages are held in-path beyond
     // the halo deadline. Its peer degrades to halo-reuse; shard 1 itself
     // hears everyone fine and completes.
-    let fed = run_net_federation(2, FaultPlan::none().net_stall(1, 1), true, "netstall");
+    let plan = FaultPlan::none().with(1, Fault::NetStall { shard: 1 });
+    let fed = run_net_federation(2, plan, true, "netstall");
     assert_eq!(labels(&fed, 0), ["completed", "halo-reuse", "completed"]);
     assert_eq!(labels(&fed, 1), ["completed", "completed", "completed"]);
     assert!(fed.workers[0].records[1]
@@ -101,7 +103,8 @@ fn wiregarbage_is_typed_resynced_and_degrades_exactly_the_listeners() {
     // plus a checksum-broken copy. The receiver resyncs (typed, counted)
     // and degrades; no corrupt halo is ever applied, and cycles 0/2
     // parse cleanly off the same stream.
-    let fed = run_net_federation(2, FaultPlan::none().wire_garbage(1, 1), true, "garbage");
+    let plan = FaultPlan::none().with(1, Fault::WireGarbage { shard: 1 });
+    let fed = run_net_federation(2, plan, true, "garbage");
     assert_eq!(labels(&fed, 0), ["completed", "halo-reuse", "completed"]);
     assert_eq!(labels(&fed, 1), ["completed", "completed", "completed"]);
     let stats = fed.workers[0].bus().stats();

@@ -2,7 +2,7 @@
 //! checkpointed cycling campaign ([`ResumableCampaign`]) that survives
 //! `kill -9` and resumes bit-for-bit from the last valid snapshot.
 
-use crate::fault::FaultPlan;
+use crate::fault::{Fault, FaultPlan};
 use crate::nodes::NodeAllocation;
 use crate::outage::OutageSchedule;
 use crate::perfmodel::{PerfModel, TimeToSolution};
@@ -368,8 +368,8 @@ pub struct ResumableCampaign {
     /// Snapshot cadence in cycles (min 1). A snapshot is taken before every
     /// cycle whose index is a multiple of this, plus a final one at the end.
     pub checkpoint_every: usize,
-    /// Deterministic fault schedule (member faults are the app's business
-    /// via [`FaultPlan::member_nans`]; the driver handles `Crash`).
+    /// Deterministic fault schedule (member faults are the app's business;
+    /// the driver handles `Crash`).
     pub faults: FaultPlan,
 }
 
@@ -441,7 +441,7 @@ impl ResumableCampaign {
         outcomes.retain(|o| (o.cycle as usize) < start_cycle);
         let mut checkpoints_written = 0usize;
         for cycle in start_cycle..self.n_cycles {
-            if resumed_from.is_none() && self.faults.has_crash(cycle) {
+            if resumed_from.is_none() && self.faults.has(cycle, Fault::Crash) {
                 return Ok(ResumableRun {
                     start_cycle,
                     resumed_from,
@@ -681,7 +681,7 @@ mod tests {
             n_cycles: 8,
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 2,
-            faults: FaultPlan::none().crash_at(5),
+            faults: FaultPlan::none().with(5, Fault::Crash),
         };
         let mut app = ToyApp::new(99);
         let first = campaign.run(&mut app).unwrap();

@@ -1,11 +1,14 @@
 //! Deterministic fault injection for the live pipeline.
 //!
-//! A [`FaultPlan`] declares, per cycle, which failures the supervised
-//! pipeline must absorb: stage panics, transfer stalls, corrupted volume
-//! payloads, and dropped scans. Plans are built explicitly (tests), parsed
-//! from a compact spec string (the `--inject` flag of the realtime example),
-//! or generated from a seed — so every failure scenario is reproducible
-//! bit-for-bit, which is what makes degraded-mode behaviour testable at all.
+//! A [`FaultPlan`] is a per-cycle schedule of [`Fault`] values: every
+//! failure the supervised pipeline, the campaign driver, the egress swarm
+//! and the shard federation must absorb, from stage panics and transfer
+//! stalls to poisoned members, shard kills and network partitions. Plans
+//! are built explicitly with [`FaultPlan::with`] (tests), parsed from the
+//! compact spec grammar documented on [`FaultPlan::parse`] (the `--inject`
+//! and `--faults` flags of the examples), or generated from a seed — so
+//! every failure scenario is reproducible bit-for-bit, which is what makes
+//! degraded-mode behaviour testable at all.
 
 use bda_num::rng::SplitMix64;
 use std::collections::BTreeMap;
@@ -85,7 +88,7 @@ pub enum Fault {
     /// message of the cycle is dropped in both directions on that link
     /// (halos, replay requests, heartbeats). Both ends must step their
     /// degradation ladder for each other while the rest of the federation
-    /// keeps exchanging normally. Canonicalized so `a < b`.
+    /// keeps exchanging normally. A plan stores it with `a < b`.
     Partition { a: usize, b: usize },
     /// Shard `shard`'s egress is stalled in-network for this cycle: its
     /// messages are delayed past the receivers' halo deadline and released
@@ -97,6 +100,61 @@ pub enum Fault {
     /// truncation. Receivers must resync at the next frame magic and type
     /// the damage — no panic, nothing corrupt applied.
     WireGarbage { shard: usize },
+}
+
+impl Fault {
+    /// The fault with a `Partition`'s endpoints in `a < b` order, so a
+    /// link is one value whichever end names it first.
+    fn canonical(self) -> Self {
+        match self {
+            Fault::Partition { a, b } => Fault::Partition {
+                a: a.min(b),
+                b: a.max(b),
+            },
+            f => f,
+        }
+    }
+
+    /// The fault a spec token's kind names, `kind` being the text before
+    /// `@` (see [`FaultPlan::parse`]); `windows` is the `xN` suffix a
+    /// `stall` token may carry after its cycle.
+    fn from_kind(kind: &str, windows: Option<&str>) -> Option<Self> {
+        Some(match kind {
+            "panic:scan" => Fault::StagePanic(Stage::Scan),
+            "panic:assim" => Fault::StagePanic(Stage::Assimilation),
+            "panic:fcst" => Fault::StagePanic(Stage::Forecast),
+            "stall" => Fault::TransferStall {
+                timeouts: windows.map_or(Some(1), |n| n.parse().ok())?,
+            },
+            "corrupt" => Fault::CorruptVolume,
+            "drop" => Fault::DropScan,
+            "dup" => Fault::DuplicateVolume,
+            "stale" => Fault::StaleScan,
+            "crash" => Fault::Crash,
+            _ => {
+                let (name, arg) = kind.split_once(':')?;
+                if name == "partition" {
+                    // The one kind whose argument is a pair of shards.
+                    let (a, b) = arg.split_once('-')?;
+                    let (a, b) = (a.parse().ok()?, b.parse().ok()?);
+                    return (a != b).then_some(Fault::Partition { a, b });
+                }
+                let n: usize = arg.parse().ok()?;
+                match name {
+                    "nan" => Fault::MemberNan { member: n },
+                    "blowup" => Fault::MemberBlowUp { member: n },
+                    "slowclient" => Fault::SlowClients { n },
+                    "connstorm" => Fault::ConnStorm { n },
+                    "shardkill" => Fault::ShardKill { shard: n },
+                    "shardstall" => Fault::ShardStall { shard: n },
+                    "halodrop" => Fault::HaloDrop { shard: n },
+                    "netstall" => Fault::NetStall { shard: n },
+                    "wiregarbage" => Fault::WireGarbage { shard: n },
+                    _ => return None,
+                }
+            }
+        })
+    }
 }
 
 /// Per-cycle fault schedule. Ordered map so iteration (and therefore any
@@ -141,255 +199,36 @@ impl FaultPlan {
         self.by_cycle.is_empty()
     }
 
-    fn push(&mut self, cycle: usize, fault: Fault) {
-        self.by_cycle.entry(cycle).or_default().push(fault);
-    }
-
-    /// Panic inside `stage` on `cycle`.
-    pub fn panic_at(mut self, stage: Stage, cycle: usize) -> Self {
-        self.push(cycle, Fault::StagePanic(stage));
+    /// Schedule `fault` on `cycle`, after any fault already scheduled
+    /// there. A `Partition` is stored with its endpoints in `a < b` order.
+    pub fn with(mut self, cycle: usize, fault: Fault) -> Self {
+        self.by_cycle
+            .entry(cycle)
+            .or_default()
+            .push(fault.canonical());
         self
     }
 
-    /// Corrupt the volume payload of `cycle` after its checksum is taken.
-    pub fn corrupt_volume(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::CorruptVolume);
-        self
-    }
-
-    /// Stall `cycle`'s transfer for `timeouts` watchdog windows.
-    pub fn stall_transfer(mut self, cycle: usize, timeouts: usize) -> Self {
-        self.push(cycle, Fault::TransferStall { timeouts });
-        self
-    }
-
-    /// Drop `cycle`'s scan entirely.
-    pub fn drop_scan(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::DropScan);
-        self
-    }
-
-    /// Send `cycle`'s volume twice (replayed delivery).
-    pub fn duplicate_volume(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::DuplicateVolume);
-        self
-    }
-
-    /// Back-date `cycle`'s scan timestamp past the staleness horizon.
-    pub fn stale_scan(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::StaleScan);
-        self
-    }
-
-    /// Poison `member`'s state with NaN at the start of `cycle`.
-    pub fn nan_member(mut self, cycle: usize, member: usize) -> Self {
-        self.push(cycle, Fault::MemberNan { member });
-        self
-    }
-
-    /// Seed `member`'s state with Inf at the start of `cycle`.
-    pub fn blowup_member(mut self, cycle: usize, member: usize) -> Self {
-        self.push(cycle, Fault::MemberBlowUp { member });
-        self
-    }
-
-    /// Kill the process abruptly at the start of `cycle`.
-    pub fn crash_at(mut self, cycle: usize) -> Self {
-        self.push(cycle, Fault::Crash);
-        self
-    }
-
-    /// Make `n` egress subscribers stop draining from `cycle` on.
-    pub fn slow_clients(mut self, cycle: usize, n: usize) -> Self {
-        self.push(cycle, Fault::SlowClients { n });
-        self
-    }
-
-    /// Burst-connect `n` extra egress subscribers during `cycle`.
-    pub fn conn_storm(mut self, cycle: usize, n: usize) -> Self {
-        self.push(cycle, Fault::ConnStorm { n });
-        self
-    }
-
-    /// SIGKILL federation shard `shard` at the start of `cycle`.
-    pub fn shard_kill(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::ShardKill { shard });
-        self
-    }
-
-    /// Make shard `shard` miss its halo deadline on `cycle`.
-    pub fn shard_stall(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::ShardStall { shard });
-        self
-    }
-
-    /// Drop shard `shard`'s halo for `cycle` in transit.
-    pub fn halo_drop(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::HaloDrop { shard });
-        self
-    }
-
-    /// Partition the link between shards `a` and `b` for `cycle` (order
-    /// of the endpoints is irrelevant; stored canonically).
-    pub fn partition(mut self, cycle: usize, a: usize, b: usize) -> Self {
-        self.push(
-            cycle,
-            Fault::Partition {
-                a: a.min(b),
-                b: a.max(b),
-            },
-        );
-        self
-    }
-
-    /// Stall shard `shard`'s network egress for `cycle` (delay + reorder).
-    pub fn net_stall(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::NetStall { shard });
-        self
-    }
-
-    /// Mangle shard `shard`'s wire traffic for `cycle` (garbage,
-    /// corruption, truncation).
-    pub fn wire_garbage(mut self, cycle: usize, shard: usize) -> Self {
-        self.push(cycle, Fault::WireGarbage { shard });
-        self
-    }
-
-    /// Faults scheduled for `cycle` (empty slice when none).
+    /// Faults scheduled for `cycle`, in schedule order (empty slice when
+    /// none).
     pub fn faults_for(&self, cycle: usize) -> &[Fault] {
         self.by_cycle.get(&cycle).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// First `TransferStall` scheduled for `cycle`, as a timeout count.
-    pub fn stall_timeouts(&self, cycle: usize) -> usize {
-        self.faults_for(cycle)
-            .iter()
-            .find_map(|f| match f {
-                Fault::TransferStall { timeouts } => Some(*timeouts),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether `cycle` has `fault` scheduled.
+    /// Whether `cycle` has `fault` scheduled. A `Partition` matches with
+    /// its endpoints in either order.
     pub fn has(&self, cycle: usize, fault: Fault) -> bool {
-        self.faults_for(cycle).contains(&fault)
+        self.faults_for(cycle).contains(&fault.canonical())
     }
 
-    /// Members scheduled for NaN poisoning on `cycle`.
-    pub fn member_nans(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::MemberNan { member } => Some(*member),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Members scheduled for blow-up seeding on `cycle`.
-    pub fn member_blowups(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::MemberBlowUp { member } => Some(*member),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Whether `cycle` has a process crash scheduled.
-    pub fn has_crash(&self, cycle: usize) -> bool {
-        self.has(cycle, Fault::Crash)
-    }
-
-    /// Total egress subscribers scheduled to go slow on `cycle` (summed
-    /// across `slowclient` tokens, mirroring `member_nans`' accumulation).
-    pub fn slow_clients_at(&self, cycle: usize) -> usize {
-        self.faults_for(cycle)
-            .iter()
-            .map(|f| match f {
-                Fault::SlowClients { n } => *n,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total burst connections scheduled for `cycle`.
-    pub fn conn_storm_at(&self, cycle: usize) -> usize {
-        self.faults_for(cycle)
-            .iter()
-            .map(|f| match f {
-                Fault::ConnStorm { n } => *n,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Shards scheduled for SIGKILL on `cycle`.
-    pub fn shard_kills(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::ShardKill { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards scheduled to miss their halo deadline on `cycle`.
-    pub fn shard_stalls(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::ShardStall { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards whose halo is dropped in transit on `cycle`.
-    pub fn halo_drops(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::HaloDrop { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shard pairs whose link is partitioned on `cycle` (canonical order).
-    pub fn partitions(&self, cycle: usize) -> Vec<(usize, usize)> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Partition { a, b } => Some((*a, *b)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards whose network egress is stalled on `cycle`.
-    pub fn net_stalls(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::NetStall { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shards whose wire traffic is mangled on `cycle`.
-    pub fn wire_garbages(&self, cycle: usize) -> Vec<usize> {
-        self.faults_for(cycle)
-            .iter()
-            .filter_map(|f| match f {
-                Fault::WireGarbage { shard } => Some(*shard),
-                _ => None,
-            })
-            .collect()
+    /// What `pick` extracts from each fault scheduled for `cycle`, in
+    /// schedule order, e.g. the shard of every `ShardKill`.
+    pub fn select<'a, R>(
+        &'a self,
+        cycle: usize,
+        pick: impl FnMut(&Fault) -> Option<R> + 'a,
+    ) -> impl Iterator<Item = R> + 'a {
+        self.faults_for(cycle).iter().filter_map(pick)
     }
 
     /// Total number of scheduled faults.
@@ -405,161 +244,80 @@ impl FaultPlan {
         let mut plan = Self::none();
         for cycle in 0..n_cycles {
             if rng.next_uniform() < rates.panic_scan {
-                plan.push(cycle, Fault::StagePanic(Stage::Scan));
+                plan = plan.with(cycle, Fault::StagePanic(Stage::Scan));
             }
             if rng.next_uniform() < rates.panic_assimilation {
-                plan.push(cycle, Fault::StagePanic(Stage::Assimilation));
+                plan = plan.with(cycle, Fault::StagePanic(Stage::Assimilation));
             }
             if rng.next_uniform() < rates.panic_forecast {
-                plan.push(cycle, Fault::StagePanic(Stage::Forecast));
+                plan = plan.with(cycle, Fault::StagePanic(Stage::Forecast));
             }
             if rng.next_uniform() < rates.stall {
                 let timeouts = 1 + rng.next_index(2); // 1 or 2 windows
-                plan.push(cycle, Fault::TransferStall { timeouts });
+                plan = plan.with(cycle, Fault::TransferStall { timeouts });
             }
             if rng.next_uniform() < rates.corrupt {
-                plan.push(cycle, Fault::CorruptVolume);
+                plan = plan.with(cycle, Fault::CorruptVolume);
             }
             if rng.next_uniform() < rates.drop_scan {
-                plan.push(cycle, Fault::DropScan);
+                plan = plan.with(cycle, Fault::DropScan);
             }
         }
         plan
     }
 
-    /// Parse the compact `--inject` spec: comma-separated tokens, each one
-    /// of
+    /// Parse the compact fault spec: comma-separated tokens, each `KIND@C`
+    /// (schedule on cycle `C`) or `random:SEED`. This is the one grammar
+    /// of every fault flag:
     ///
     /// * `panic:scan@C` / `panic:assim@C` / `panic:fcst@C` — panic in that
-    ///   stage on cycle `C`;
-    /// * `stall@CxN` — stall cycle `C`'s transfer for `N` watchdog windows
+    ///   stage;
+    /// * `stall@CxN` — stall the transfer for `N` watchdog windows
     ///   (`stall@C` means one window);
-    /// * `corrupt@C` — corrupt cycle `C`'s volume payload;
-    /// * `drop@C` — drop cycle `C`'s scan;
-    /// * `dup@C` — deliver cycle `C`'s volume twice (replay);
-    /// * `stale@C` — back-date cycle `C`'s scan past the staleness horizon;
-    /// * `nan:M@C` — poison member `M` with NaN at the start of cycle `C`;
-    /// * `blowup:M@C` — seed member `M` with Inf at the start of cycle `C`;
-    /// * `crash@C` — kill the process abruptly at the start of cycle `C`;
-    /// * `slowclient:N@C` — `N` egress subscribers stop draining from
-    ///   cycle `C` on;
-    /// * `connstorm:N@C` — `N` extra egress subscribers burst-connect
-    ///   during cycle `C`;
-    /// * `shardkill:S@C` — SIGKILL federation shard `S` at the start of
-    ///   cycle `C`;
-    /// * `shardstall:S@C` — shard `S` misses its halo deadline on cycle
-    ///   `C`;
-    /// * `halodrop:S@C` — shard `S`'s halo for cycle `C` is dropped in
-    ///   transit;
-    /// * `partition:A-B@C` — the network link between shards `A` and `B`
-    ///   is cut for cycle `C` (both directions);
+    /// * `corrupt@C` — corrupt the volume payload;
+    /// * `drop@C` — drop the scan;
+    /// * `dup@C` — deliver the volume twice (replay);
+    /// * `stale@C` — back-date the scan past the staleness horizon;
+    /// * `nan:M@C` — poison member `M` with NaN at the start of the cycle;
+    /// * `blowup:M@C` — seed member `M` with Inf at the start of the cycle;
+    /// * `crash@C` — kill the process abruptly at the start of the cycle;
+    /// * `slowclient:N@C` — `N` egress subscribers stop draining from this
+    ///   cycle on;
+    /// * `connstorm:N@C` — `N` extra egress subscribers burst-connect;
+    /// * `shardkill:S@C` — SIGKILL federation shard `S` at the start of the
+    ///   cycle;
+    /// * `shardstall:S@C` — shard `S` misses its halo deadline;
+    /// * `halodrop:S@C` — shard `S`'s halo is dropped in transit;
+    /// * `partition:A-B@C` — the network link between shards `A` and
+    ///   `B` (`A != B`) is cut in both directions;
     /// * `netstall:S@C` — shard `S`'s network egress is delayed past the
-    ///   halo deadline on cycle `C` and released late (reordered);
-    /// * `wiregarbage:S@C` — shard `S`'s wire traffic is mangled on cycle
-    ///   `C` (garbage injection, corruption, truncation);
-    /// * `random:SEED` — a seed-driven plan at default rates (requires the
-    ///   caller to know `n_cycles`, so it takes it via [`FaultPlan::random`]
-    ///   — here it is expanded with `n_cycles` passed in).
+    ///   halo deadline and released late (reordered);
+    /// * `wiregarbage:S@C` — shard `S`'s wire traffic is mangled (garbage
+    ///   injection, corruption, truncation);
+    /// * `random:SEED` — the plan [`FaultPlan::random`] draws from `SEED`
+    ///   over `n_cycles` at default rates.
     pub fn parse(spec: &str, n_cycles: usize) -> Result<Self, String> {
         let mut plan = Self::none();
         for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             if let Some(seed) = token.strip_prefix("random:") {
-                let seed: u64 = seed.parse().map_err(|_| format!("bad seed in `{token}`"))?;
+                let seed = seed.parse().map_err(|_| format!("bad seed in `{token}`"))?;
                 let random = Self::random(seed, n_cycles, FaultRates::default());
                 for (cycle, faults) in random.by_cycle {
-                    for f in faults {
-                        plan.push(cycle, f);
-                    }
+                    plan.by_cycle.entry(cycle).or_default().extend(faults);
                 }
                 continue;
             }
             let (kind, at) = token
                 .split_once('@')
                 .ok_or_else(|| format!("missing `@cycle` in `{token}`"))?;
-            match kind {
-                "panic:scan" | "panic:assim" | "panic:fcst" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    let stage = match kind {
-                        "panic:scan" => Stage::Scan,
-                        "panic:assim" => Stage::Assimilation,
-                        _ => Stage::Forecast,
-                    };
-                    plan.push(cycle, Fault::StagePanic(stage));
-                }
-                "stall" => {
-                    let (cycle, timeouts) = match at.split_once('x') {
-                        Some((c, n)) => (
-                            c.parse().map_err(|_| format!("bad cycle in `{token}`"))?,
-                            n.parse().map_err(|_| format!("bad count in `{token}`"))?,
-                        ),
-                        None => (
-                            at.parse().map_err(|_| format!("bad cycle in `{token}`"))?,
-                            1usize,
-                        ),
-                    };
-                    plan.push(cycle, Fault::TransferStall { timeouts });
-                }
-                "corrupt" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::CorruptVolume);
-                }
-                "drop" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::DropScan);
-                }
-                "dup" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::DuplicateVolume);
-                }
-                "stale" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::StaleScan);
-                }
-                "crash" => {
-                    let cycle: usize = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                    plan.push(cycle, Fault::Crash);
-                }
-                other => {
-                    // `partition` is the one kind whose argument is a pair.
-                    if let Some(pair) = other.strip_prefix("partition:") {
-                        let (a, b) = pair
-                            .split_once('-')
-                            .ok_or_else(|| format!("missing `A-B` pair in `{token}`"))?;
-                        let a: usize = a.parse().map_err(|_| format!("bad shard in `{token}`"))?;
-                        let b: usize = b.parse().map_err(|_| format!("bad shard in `{token}`"))?;
-                        if a == b {
-                            return Err(format!("partition endpoints equal in `{token}`"));
-                        }
-                        let cycle: usize =
-                            at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                        plan = plan.partition(cycle, a, b);
-                        continue;
-                    }
-                    let member_fault = other.split_once(':').and_then(|(kind, m)| {
-                        let arg: usize = m.parse().ok()?;
-                        match kind {
-                            "nan" => Some(Fault::MemberNan { member: arg }),
-                            "blowup" => Some(Fault::MemberBlowUp { member: arg }),
-                            "slowclient" => Some(Fault::SlowClients { n: arg }),
-                            "connstorm" => Some(Fault::ConnStorm { n: arg }),
-                            "shardkill" => Some(Fault::ShardKill { shard: arg }),
-                            "shardstall" => Some(Fault::ShardStall { shard: arg }),
-                            "halodrop" => Some(Fault::HaloDrop { shard: arg }),
-                            "netstall" => Some(Fault::NetStall { shard: arg }),
-                            "wiregarbage" => Some(Fault::WireGarbage { shard: arg }),
-                            _ => None,
-                        }
-                    });
-                    match member_fault {
-                        Some(fault) => {
-                            let cycle: usize =
-                                at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
-                            plan.push(cycle, fault);
-                        }
-                        None => return Err(format!("unknown fault kind `{other}` in `{token}`")),
-                    }
-                }
-            }
+            let (at, windows) = match at.split_once('x') {
+                Some((c, n)) if kind == "stall" => (c, Some(n)),
+                _ => (at, None),
+            };
+            let cycle = at.parse().map_err(|_| format!("bad cycle in `{token}`"))?;
+            let fault = Fault::from_kind(kind, windows)
+                .ok_or_else(|| format!("unknown fault kind or bad argument in `{token}`"))?;
+            plan = plan.with(cycle, fault);
         }
         Ok(plan)
     }
@@ -616,195 +374,125 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    #[test]
-    fn builder_accumulates_per_cycle() {
-        let plan = FaultPlan::none()
-            .panic_at(Stage::Assimilation, 3)
-            .corrupt_volume(3)
-            .stall_transfer(5, 2)
-            .drop_scan(7);
-        assert_eq!(plan.len(), 4);
-        assert!(plan.has(3, Fault::StagePanic(Stage::Assimilation)));
-        assert!(plan.has(3, Fault::CorruptVolume));
-        assert_eq!(plan.stall_timeouts(5), 2);
-        assert_eq!(plan.stall_timeouts(3), 0);
-        assert!(plan.has(7, Fault::DropScan));
-        assert!(plan.faults_for(0).is_empty());
+    /// A spec naming every `Fault` variant (and every stage a token can
+    /// name), all on cycle 7, in `to_spec`'s canonical form.
+    const EVERY_KIND: &str = "panic:scan@7, panic:assim@7, panic:fcst@7, stall@7, stall@7x3, \
+        corrupt@7, drop@7, dup@7, stale@7, nan:2@7, blowup:0@7, crash@7, slowclient:50@7, \
+        connstorm:200@7, shardkill:1@7, shardstall:0@7, halodrop:2@7, partition:0-2@7, \
+        netstall:1@7, wiregarbage:0@7";
+
+    /// `fault`'s spec token on cycle 7, written out independently of
+    /// `to_spec`. Exhaustive on purpose: a new `Fault` variant does not
+    /// compile until it has a token here (and one in `EVERY_KIND`).
+    fn token(fault: Fault) -> String {
+        match fault {
+            Fault::StagePanic(Stage::Scan) => "panic:scan@7".into(),
+            Fault::StagePanic(Stage::Assimilation) => "panic:assim@7".into(),
+            Fault::StagePanic(Stage::Forecast | Stage::Transfer) => "panic:fcst@7".into(),
+            Fault::TransferStall { timeouts: 1 } => "stall@7".into(),
+            Fault::TransferStall { timeouts } => format!("stall@7x{timeouts}"),
+            Fault::CorruptVolume => "corrupt@7".into(),
+            Fault::DropScan => "drop@7".into(),
+            Fault::DuplicateVolume => "dup@7".into(),
+            Fault::StaleScan => "stale@7".into(),
+            Fault::MemberNan { member } => format!("nan:{member}@7"),
+            Fault::MemberBlowUp { member } => format!("blowup:{member}@7"),
+            Fault::Crash => "crash@7".into(),
+            Fault::SlowClients { n } => format!("slowclient:{n}@7"),
+            Fault::ConnStorm { n } => format!("connstorm:{n}@7"),
+            Fault::ShardKill { shard } => format!("shardkill:{shard}@7"),
+            Fault::ShardStall { shard } => format!("shardstall:{shard}@7"),
+            Fault::HaloDrop { shard } => format!("halodrop:{shard}@7"),
+            Fault::Partition { a, b } => format!("partition:{a}-{b}@7"),
+            Fault::NetStall { shard } => format!("netstall:{shard}@7"),
+            Fault::WireGarbage { shard } => format!("wiregarbage:{shard}@7"),
+        }
     }
 
     #[test]
-    fn parse_full_spec() {
-        let plan = FaultPlan::parse(
-            "panic:assim@3, corrupt@5, stall@2x3, drop@7, panic:fcst@9",
-            16,
-        )
-        .unwrap();
-        assert!(plan.has(3, Fault::StagePanic(Stage::Assimilation)));
-        assert!(plan.has(5, Fault::CorruptVolume));
-        assert_eq!(plan.stall_timeouts(2), 3);
-        assert!(plan.has(7, Fault::DropScan));
-        assert!(plan.has(9, Fault::StagePanic(Stage::Forecast)));
-    }
-
-    #[test]
-    fn parse_member_faults_and_crash() {
-        let plan = FaultPlan::parse("nan:2@3, blowup:0@5, crash@7, nan:4@3", 16).unwrap();
-        assert_eq!(plan.member_nans(3), vec![2, 4]);
-        assert_eq!(plan.member_blowups(5), vec![0]);
-        assert!(plan.has_crash(7));
-        assert!(!plan.has_crash(3));
-        assert!(plan.member_nans(5).is_empty());
-        assert!(FaultPlan::parse("nan:x@3", 8).is_err());
-        assert!(FaultPlan::parse("blowup:1@y", 8).is_err());
-    }
-
-    #[test]
-    fn builder_member_faults() {
-        let plan = FaultPlan::none()
-            .nan_member(2, 1)
-            .blowup_member(2, 3)
-            .crash_at(4);
-        assert_eq!(plan.member_nans(2), vec![1]);
-        assert_eq!(plan.member_blowups(2), vec![3]);
-        assert!(plan.has_crash(4));
-        assert_eq!(plan.len(), 3);
-    }
-
-    #[test]
-    fn parse_ingest_faults() {
-        let plan = FaultPlan::parse("dup@2, stale@4", 8).unwrap();
-        assert!(plan.has(2, Fault::DuplicateVolume));
-        assert!(plan.has(4, Fault::StaleScan));
-        assert!(!plan.has(2, Fault::StaleScan));
-        let built = FaultPlan::none().duplicate_volume(1).stale_scan(3);
-        assert!(built.has(1, Fault::DuplicateVolume));
-        assert!(built.has(3, Fault::StaleScan));
-        assert!(FaultPlan::parse("dup@x", 8).is_err());
-        assert!(FaultPlan::parse("stale@", 8).is_err());
-    }
-
-    #[test]
-    fn parse_egress_faults_compose_with_ingest() {
-        let plan = FaultPlan::parse(
-            "slowclient:50@2, connstorm:200@4, drop@2, slowclient:10@2",
-            8,
-        )
-        .unwrap();
-        assert_eq!(plan.slow_clients_at(2), 60);
-        assert_eq!(plan.conn_storm_at(4), 200);
-        assert_eq!(plan.conn_storm_at(2), 0);
-        assert!(plan.has(2, Fault::DropScan));
-        let built = FaultPlan::none().slow_clients(1, 5).conn_storm(1, 7);
-        assert_eq!(built.slow_clients_at(1), 5);
-        assert_eq!(built.conn_storm_at(1), 7);
-        assert!(FaultPlan::parse("slowclient:x@2", 8).is_err());
-        assert!(FaultPlan::parse("connstorm:3@y", 8).is_err());
-    }
-
-    #[test]
-    fn parse_shard_faults() {
-        let plan = FaultPlan::parse(
-            "shardkill:1@4, shardstall:0@6, halodrop:2@6, shardkill:3@4",
-            16,
-        )
-        .unwrap();
-        assert_eq!(plan.shard_kills(4), vec![1, 3]);
-        assert_eq!(plan.shard_stalls(6), vec![0]);
-        assert_eq!(plan.halo_drops(6), vec![2]);
-        assert!(plan.shard_kills(6).is_empty());
-        assert!(plan.halo_drops(4).is_empty());
-        let built = FaultPlan::none()
-            .shard_kill(2, 1)
-            .shard_stall(3, 0)
-            .halo_drop(3, 1);
-        assert_eq!(built.shard_kills(2), vec![1]);
-        assert_eq!(built.shard_stalls(3), vec![0]);
-        assert_eq!(built.halo_drops(3), vec![1]);
-        assert!(FaultPlan::parse("shardkill:x@2", 8).is_err());
-        assert!(FaultPlan::parse("halodrop:1@y", 8).is_err());
-        assert!(FaultPlan::parse("shardstall:@2", 8).is_err());
-    }
-
-    #[test]
-    fn parse_network_faults() {
-        let plan = FaultPlan::parse(
-            "partition:0-2@3, netstall:1@4, wiregarbage:2@4, partition:3-1@3",
-            8,
-        )
-        .unwrap();
-        // Pairs canonicalize to (low, high) no matter the spec order.
-        assert_eq!(plan.partitions(3), vec![(0, 2), (1, 3)]);
-        assert_eq!(plan.net_stalls(4), vec![1]);
-        assert_eq!(plan.wire_garbages(4), vec![2]);
-        assert!(plan.partitions(4).is_empty());
-        assert!(plan.net_stalls(3).is_empty());
-        let built = FaultPlan::none()
-            .partition(1, 2, 0)
-            .net_stall(2, 0)
-            .wire_garbage(2, 1);
-        assert_eq!(built.partitions(1), vec![(0, 2)]);
-        assert_eq!(built.net_stalls(2), vec![0]);
-        assert_eq!(built.wire_garbages(2), vec![1]);
-        assert!(FaultPlan::parse("partition:0@2", 8).is_err());
-        assert!(FaultPlan::parse("partition:1-1@2", 8).is_err());
-        assert!(FaultPlan::parse("partition:a-b@2", 8).is_err());
-        assert!(FaultPlan::parse("partition:0-1@x", 8).is_err());
-        assert!(FaultPlan::parse("netstall:x@2", 8).is_err());
-        assert!(FaultPlan::parse("wiregarbage:1@y", 8).is_err());
-    }
-
-    #[test]
-    fn network_fault_specs_round_trip_canonically() {
-        let plan = FaultPlan::none()
-            .partition(2, 3, 1)
-            .net_stall(3, 0)
-            .wire_garbage(4, 2);
-        assert_eq!(
-            plan.to_spec(),
-            "partition:1-3@2, netstall:0@3, wiregarbage:2@4"
-        );
-        assert_eq!(FaultPlan::parse(&plan.to_spec(), 8).unwrap(), plan);
-    }
-
-    #[test]
-    fn spec_round_trips_through_parser() {
-        let spec = "panic:assim@1, stall@2x3, stall@3, corrupt@4, drop@5, dup@6, stale@7, \
-                    nan:2@8, blowup:0@9, crash@10, slowclient:50@11, connstorm:200@12, \
-                    shardkill:1@13, shardstall:0@14, halodrop:2@15, partition:0-1@2, \
-                    netstall:1@5, wiregarbage:0@6";
-        let plan = FaultPlan::parse(spec, 16).unwrap();
-        let reparsed = FaultPlan::parse(&plan.to_spec(), 16).unwrap();
-        assert_eq!(plan, reparsed);
-        // And a seed-driven plan survives the trip too.
-        let random = FaultPlan::random(42, 64, FaultRates::default());
-        assert_eq!(FaultPlan::parse(&random.to_spec(), 64).unwrap(), random);
-    }
-
-    #[test]
-    fn to_spec_of_shard_faults_is_canonical() {
-        let plan = FaultPlan::none().shard_kill(3, 1).halo_drop(5, 0);
-        assert_eq!(plan.to_spec(), "shardkill:1@3, halodrop:0@5");
-        assert_eq!(FaultPlan::none().to_spec(), "");
-    }
-
-    #[test]
-    fn parse_stall_default_one_window() {
-        let plan = FaultPlan::parse("stall@4", 8).unwrap();
-        assert_eq!(plan.stall_timeouts(4), 1);
+    fn every_variant_parses_from_its_token_and_round_trips() {
+        let plan = FaultPlan::parse(EVERY_KIND, 8).unwrap();
+        assert_eq!(plan.to_spec(), EVERY_KIND);
+        let tokens: Vec<&str> = EVERY_KIND.split(", ").collect();
+        assert_eq!(plan.len(), tokens.len());
+        for (&fault, spec) in plan.faults_for(7).iter().zip(tokens) {
+            assert_eq!(token(fault), spec);
+            let single = FaultPlan::parse(spec, 8).unwrap();
+            assert_eq!(single, FaultPlan::none().with(7, fault), "{spec}");
+            assert_eq!(single.to_spec(), spec);
+        }
     }
 
     #[test]
     fn parse_rejects_malformed_tokens() {
-        assert!(FaultPlan::parse("explode@3", 8).is_err());
-        assert!(FaultPlan::parse("corrupt@x", 8).is_err());
-        assert!(FaultPlan::parse("corrupt", 8).is_err());
-        assert!(FaultPlan::parse("random:notanumber", 8).is_err());
+        let corpus = [
+            // Unknown kinds, and arguments on kinds that take none.
+            "explode@3 panic@3 panic:transfer@3 corrupt:1@3 stall:1@3 crash:0@3 @3",
+            // Missing or malformed cycles.
+            "corrupt corrupt@x stale@ dup@x crash@3x2 nan:1@2@3 blowup:1@y partition:0-1@x",
+            // Malformed stall windows, members, client counts, shards, seeds.
+            "stall@3x stall@x2 stall@1x2x3 nan:x@3 nan:@3 slowclient:x@2 connstorm:3@y",
+            "shardkill:x@2 shardstall:@2 netstall:x@2 wiregarbage:1@y random:x random:5@3",
+            // Partitions need two distinct shards.
+            "partition:1-1@2 partition:0@2 partition:a-b@2 partition:0-1-2@3",
+        ];
+        // Specs with inner spaces; one bad token spoils the whole spec.
+        let spaced = ["nan: 2@3", "drop@1, explode@2"];
+        for spec in corpus.iter().flat_map(|g| g.split(' ')).chain(spaced) {
+            assert!(FaultPlan::parse(spec, 8).is_err(), "accepted `{spec}`");
+        }
     }
 
     #[test]
     fn parse_empty_spec_is_empty_plan() {
         assert!(FaultPlan::parse("", 8).unwrap().is_empty());
         assert!(FaultPlan::parse(" , ", 8).unwrap().is_empty());
+        assert_eq!(FaultPlan::none().to_spec(), "");
+    }
+
+    #[test]
+    fn stall_without_count_means_one_window() {
+        let plan = FaultPlan::parse("stall@4, stall@5x0", 8).unwrap();
+        assert!(plan.has(4, Fault::TransferStall { timeouts: 1 }));
+        assert!(plan.has(5, Fault::TransferStall { timeouts: 0 }));
+    }
+
+    #[test]
+    fn same_cycle_tokens_keep_schedule_order_and_sum() {
+        let plan = FaultPlan::parse(
+            "slowclient:50@2, connstorm:200@4, drop@2, nan:4@3, slowclient:10@2, nan:2@3",
+            8,
+        )
+        .unwrap();
+        let slow = |f: &Fault| match *f {
+            Fault::SlowClients { n } => Some(n),
+            _ => None,
+        };
+        assert_eq!(plan.select(2, slow).sum::<usize>(), 60);
+        assert_eq!(plan.select(4, slow).sum::<usize>(), 0);
+        let nans: Vec<usize> = plan
+            .select(3, |f| match *f {
+                Fault::MemberNan { member } => Some(member),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(nans, [4, 2]);
+        assert!(plan.has(2, Fault::DropScan));
+        assert!(!plan.has(3, Fault::DropScan));
+        assert!(plan.faults_for(0).is_empty());
+    }
+
+    #[test]
+    fn partitions_are_canonical_in_either_order() {
+        let built = FaultPlan::none().with(2, Fault::Partition { a: 3, b: 1 });
+        let parsed = FaultPlan::parse("partition:3-1@2", 8).unwrap();
+        assert_eq!(built, parsed);
+        assert_eq!(built.faults_for(2), &[Fault::Partition { a: 1, b: 3 }]);
+        assert_eq!(built.to_spec(), "partition:1-3@2");
+        assert!(built.has(2, Fault::Partition { a: 1, b: 3 }));
+        assert!(built.has(2, Fault::Partition { a: 3, b: 1 }));
+        assert!(!built.has(2, Fault::Partition { a: 1, b: 2 }));
+        assert!(!built.has(3, Fault::Partition { a: 1, b: 3 }));
     }
 
     #[test]
@@ -812,17 +500,15 @@ mod tests {
         let a = FaultPlan::random(42, 200, FaultRates::default());
         let b = FaultPlan::random(42, 200, FaultRates::default());
         let c = FaultPlan::random(43, 200, FaultRates::default());
-        for cycle in 0..200 {
-            assert_eq!(a.faults_for(cycle), b.faults_for(cycle));
-        }
-        assert!(
-            (0..200).any(|cy| a.faults_for(cy) != c.faults_for(cy)),
-            "different seeds produced identical plans"
-        );
+        assert_eq!(a, b);
+        assert_ne!(a, c, "different seeds produced identical plans");
         assert!(
             !a.is_empty(),
             "default rates over 200 cycles injected nothing"
         );
+        // `random:SEED` expands to the same plan, and it survives the trip.
+        assert_eq!(FaultPlan::parse("random:42", 200).unwrap(), a);
+        assert_eq!(FaultPlan::parse(&a.to_spec(), 200).unwrap(), a);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! 4. if live shards drop below quorum, posts the federation-wide
 //!    forecast-only directive — the bottom rung of the shard ladder.
 
-use crate::fault::FaultPlan;
+use crate::fault::{Fault, FaultPlan};
 use std::time::{Duration, Instant};
 
 /// Typed per-shard health as seen by the supervisor for one cycle.
@@ -335,7 +335,11 @@ where
     /// discovered. See the module docs for the ladder.
     fn supervise_cycle(&mut self, cycle: u64) -> ShardCycleReport {
         let cycle_idx = usize::try_from(cycle).unwrap_or(usize::MAX);
-        for s in self.cfg.plan.shard_kills(cycle_idx) {
+        let kills = self.cfg.plan.select(cycle_idx, |f| match *f {
+            Fault::ShardKill { shard } => Some(shard),
+            _ => None,
+        });
+        for s in kills {
             if s < self.procs.len() {
                 if let Some(p) = self.procs[s].as_mut() {
                     p.kill();
@@ -555,7 +559,7 @@ mod tests {
         let bus = FakeBus(Rc::default());
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut cfg = quick(2, 3);
-        cfg.plan = FaultPlan::none().shard_kill(1, 0);
+        cfg.plan = FaultPlan::none().with(1, Fault::ShardKill { shard: 0 });
         let mut sup = ShardSupervisor::start(cfg, bus.clone(), spawner(log.clone())).unwrap();
         let report = sup.run();
         assert_eq!(report.cycles[1].respawned, [0]);
@@ -576,7 +580,7 @@ mod tests {
         let mut cfg = quick(2, 2);
         cfg.max_respawns = 0;
         cfg.quorum = 2;
-        cfg.plan = FaultPlan::none().shard_kill(0, 1);
+        cfg.plan = FaultPlan::none().with(0, Fault::ShardKill { shard: 1 });
         let mut sup = ShardSupervisor::start(cfg, bus.clone(), spawner(log.clone())).unwrap();
         let report = sup.run();
         assert_eq!(report.cycles[0].health[1], ShardHealth::Dead);
@@ -669,7 +673,7 @@ mod tests {
         let bus = FakeBus(Rc::default());
         let mut cfg = quick(1, 1);
         cfg.quorum = 1;
-        cfg.plan = FaultPlan::none().shard_kill(0, 0);
+        cfg.plan = FaultPlan::none().with(0, Fault::ShardKill { shard: 0 });
         let mut first = true;
         let spawn = move |_s: usize, respawn: bool| {
             if respawn {

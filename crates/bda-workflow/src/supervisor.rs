@@ -800,7 +800,11 @@ impl CycleSupervisor {
         // The receiver's campaign clock: cycle C runs at C * interval.
         let now = cycle as f64 * self.scan_interval_s;
         let expected_seq = cycle as u64;
-        let mut injected_left = self.faults.stall_timeouts(cycle);
+        let stall = |f: &Fault| match *f {
+            Fault::TransferStall { timeouts } => Some(timeouts),
+            _ => None,
+        };
+        let mut injected_left = self.faults.select(cycle, stall).next().unwrap_or(0);
         let mut timeouts = 0usize;
         let mut drops = Vec::new();
         // Shared retry policy (unjittered so the watchdog's historical
@@ -921,7 +925,7 @@ mod tests {
     #[test]
     fn assimilation_panic_degrades_to_previous_analysis() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().panic_at(Stage::Assimilation, 2),
+            faults: FaultPlan::none().with(2, Fault::StagePanic(Stage::Assimilation)),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(5, &sup);
@@ -951,7 +955,7 @@ mod tests {
     fn first_cycle_assimilation_panic_falls_to_persistence() {
         // No previous analysis exists yet, so the ladder bottoms out.
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().panic_at(Stage::Assimilation, 0),
+            faults: FaultPlan::none().with(0, Fault::StagePanic(Stage::Assimilation)),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(3, &sup);
@@ -967,7 +971,7 @@ mod tests {
     #[test]
     fn dropped_scan_forecasts_from_persistence() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().drop_scan(1),
+            faults: FaultPlan::none().with(1, Fault::DropScan),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(3, &sup);
@@ -985,7 +989,7 @@ mod tests {
     #[test]
     fn corrupt_volume_rejected_by_checksum() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().corrupt_volume(2),
+            faults: FaultPlan::none().with(2, Fault::CorruptVolume),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(4, &sup);
@@ -1002,7 +1006,7 @@ mod tests {
     #[test]
     fn duplicate_volume_dropped_and_reported() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().duplicate_volume(1),
+            faults: FaultPlan::none().with(1, Fault::DuplicateVolume),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(4, &sup);
@@ -1027,7 +1031,7 @@ mod tests {
     #[test]
     fn stale_scan_rejected_with_typed_outcome() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().stale_scan(2),
+            faults: FaultPlan::none().with(2, Fault::StaleScan),
             ..CycleSupervisor::default()
         };
         let (report, log) = counting_stages(4, &sup);
@@ -1056,7 +1060,7 @@ mod tests {
             stall_timeout: Duration::from_millis(10),
             max_restarts: 4,
             backoff_base: Duration::from_millis(1),
-            faults: FaultPlan::none().stall_transfer(1, 2),
+            faults: FaultPlan::none().with(1, Fault::TransferStall { timeouts: 2 }),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1074,7 +1078,7 @@ mod tests {
             stall_timeout: Duration::from_millis(5),
             max_restarts: 2,
             backoff_base: Duration::from_millis(1),
-            faults: FaultPlan::none().stall_transfer(1, 8),
+            faults: FaultPlan::none().with(1, Fault::TransferStall { timeouts: 8 }),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1095,7 +1099,7 @@ mod tests {
     #[test]
     fn forecast_panic_is_failed_but_isolated() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().panic_at(Stage::Forecast, 1),
+            faults: FaultPlan::none().with(1, Fault::StagePanic(Stage::Forecast)),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1188,7 +1192,7 @@ mod tests {
     #[test]
     fn report_table_mentions_every_cycle_and_availability() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().corrupt_volume(1),
+            faults: FaultPlan::none().with(1, Fault::CorruptVolume),
             ..CycleSupervisor::default()
         };
         let (report, _) = counting_stages(3, &sup);
@@ -1211,7 +1215,7 @@ mod tests {
     #[test]
     fn egress_notes_reach_report_and_table() {
         let sup = CycleSupervisor {
-            faults: FaultPlan::none().drop_scan(1),
+            faults: FaultPlan::none().with(1, Fault::DropScan),
             ..CycleSupervisor::default()
         };
         let report = sup.run_with_egress(

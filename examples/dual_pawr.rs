@@ -22,6 +22,7 @@
 
 use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::{FederationConfig, LocalFederation};
+use bda_bench::cli;
 
 const SPINUP_S: f64 = 840.0;
 
@@ -166,17 +167,11 @@ fn legacy_main(cycles: usize) -> i32 {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let num = |flag: &str, default: usize| -> usize {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].parse().unwrap_or_else(|_| panic!("{flag} N")))
-            .unwrap_or(default)
-    };
-    let cycles = num("--cycles", 4);
+    let cycles = cli::flag(&argv, "--cycles").unwrap_or(4);
     let code = if argv.iter().any(|a| a == "--legacy") {
         legacy_main(cycles)
     } else {
-        federated_main(cycles, num("--shards", 2))
+        federated_main(cycles, cli::flag(&argv, "--shards").unwrap_or(2))
     };
     std::process::exit(code);
 }

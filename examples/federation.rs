@@ -45,7 +45,10 @@ use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::{
     ChaosProxy, HaloBus, HaloTransport, NetBus, NetBusConfig, ShardConfig, ShardWorker,
 };
-use bda::workflow::{FaultPlan, FederationBus, LinkHealth, ShardSupervisor, ShardSupervisorConfig};
+use bda::workflow::{
+    Fault, FaultPlan, FederationBus, LinkHealth, ShardSupervisor, ShardSupervisorConfig,
+};
+use bda_bench::cli;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -73,34 +76,28 @@ struct Opts {
 
 fn parse_opts() -> Opts {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<&str> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].as_str())
-    };
-    let num = |flag: &str, default: usize| -> usize {
-        get(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("{flag} N")))
-            .unwrap_or(default)
-    };
     let chaos = argv.iter().any(|a| a == "--chaos");
     Opts {
-        shards: num("--shards", 2),
-        cycles: num("--cycles", 4),
-        seed: get("--seed")
-            .map(|v| v.parse().expect("--seed S"))
-            .unwrap_or(11),
+        shards: cli::flag(&argv, "--shards").unwrap_or(2),
+        cycles: cli::flag(&argv, "--cycles").unwrap_or(4),
+        seed: cli::flag(&argv, "--seed").unwrap_or(11),
         dual: argv.iter().any(|a| a == "--dual"),
-        faults: get("--faults").unwrap_or("shardkill:1@2").to_string(),
+        faults: cli::flag(&argv, "--faults").unwrap_or_else(|| "shardkill:1@2".into()),
         parity: argv.iter().any(|a| a == "--parity"),
         net: chaos || argv.iter().any(|a| a == "--net"),
         chaos,
-        expect: get("--expect").unwrap_or("").to_string(),
-        dir: get("--dir").map(PathBuf::from).unwrap_or_else(|| {
+        expect: cli::flag(&argv, "--expect").unwrap_or_default(),
+        dir: cli::flag(&argv, "--dir").unwrap_or_else(|| {
             std::env::temp_dir().join(format!("bda-federation-{}", std::process::id()))
         }),
-        shard: get("--shard").map(|v| v.parse().expect("--shard I")),
+        shard: cli::flag(&argv, "--shard"),
     }
+}
+
+/// The `--faults` schedule; a bad spec is a usage error.
+fn fault_plan(o: &Opts) -> FaultPlan {
+    FaultPlan::parse(&o.faults, o.cycles)
+        .unwrap_or_else(|e| cli::usage(&format!("bad --faults spec: {e}")))
 }
 
 fn osse_config(o: &Opts) -> OsseConfig {
@@ -136,7 +133,7 @@ fn shard_config(o: &Opts, shard: usize) -> ShardConfig {
     let mut cfg = ShardConfig::new(osse_config(o), o.shards, shard, o.cycles);
     cfg.bus_dir = o.dir.join("bus");
     cfg.ckpt_dir = o.dir.join("ckpt");
-    cfg.plan = FaultPlan::parse(&o.faults, o.cycles).expect("--faults SPEC");
+    cfg.plan = fault_plan(o);
     cfg.halo_deadline = halo_deadline(o);
     cfg
 }
@@ -281,7 +278,7 @@ fn supervisor_main(o: &Opts) -> i32 {
             return 1;
         }
     };
-    let plan = FaultPlan::parse(&o.faults, o.cycles).expect("--faults SPEC");
+    let plan = fault_plan(o);
     let exe = std::env::current_exe().expect("current_exe");
     let opts = o.clone();
     let spawn = move |shard: usize, respawn: bool| -> std::io::Result<Child> {
@@ -385,7 +382,10 @@ fn supervisor_main(o: &Opts) -> i32 {
             }
         }
     }
-    let scheduled_kills: usize = (0..o.cycles).map(|c| plan.shard_kills(c).len()).sum();
+    let scheduled_kills = (0..o.cycles)
+        .flat_map(|c| plan.faults_for(c))
+        .filter(|f| matches!(f, Fault::ShardKill { .. }))
+        .count();
     let total_respawns: usize = report.respawns.iter().sum();
     if scheduled_kills > 0 && total_respawns == 0 {
         eprintln!("FAIL: {scheduled_kills} kills scheduled but no shard was ever respawned");

@@ -10,6 +10,7 @@
 //! cargo run --release --example heavy_rain_osse -- [--cycles N] [--cases M] [--fig8]
 //! ```
 
+use bda_bench::cli;
 use bda_core::osse::{Osse, OsseConfig};
 use bda_core::products;
 use bda_verify::maps::{ascii_map, write_pgm};
@@ -22,29 +23,13 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        spinup_cycles: 6,
-        cases: 8,
-        fig8: false,
-    };
     let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--cycles" => {
-                i += 1;
-                args.spinup_cycles = argv[i].parse().expect("--cycles N");
-            }
-            "--cases" => {
-                i += 1;
-                args.cases = argv[i].parse().expect("--cases M");
-            }
-            "--fig8" => args.fig8 = true,
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
+    cli::only(&argv, &["--cycles", "--cases"], &["--fig8"]);
+    Args {
+        spinup_cycles: cli::flag(&argv, "--cycles").unwrap_or(6),
+        cases: cli::flag(&argv, "--cases").unwrap_or(8),
+        fig8: argv.iter().any(|a| a == "--fig8"),
     }
-    args
 }
 
 fn main() {

@@ -9,6 +9,7 @@
 //! cargo run --release --example nested_domains [-- --minutes 10]
 //! ```
 
+use bda_bench::cli;
 use bda_grid::{GridSpec, VerticalCoord};
 use bda_scale::base::Sounding;
 use bda_scale::forcing::{LargeScaleForcing, TriggerSchedule};
@@ -18,11 +19,7 @@ use bda_scale::{Model, ModelConfig, PhysicsSwitches};
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let minutes: f64 = argv
-        .iter()
-        .position(|a| a == "--minutes")
-        .map(|i| argv[i + 1].parse().expect("--minutes N"))
-        .unwrap_or(10.0);
+    let minutes: f64 = cli::flag(&argv, "--minutes").unwrap_or(10.0);
 
     println!("=== one-way nesting (Fig. 3b at reduced scale) ===\n");
 

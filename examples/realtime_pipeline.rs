@@ -29,6 +29,7 @@
 //! pipeline; each cycle's QC accounting — accepted/total plus per-stage
 //! rejections — is printed alongside the analysis.
 
+use bda_bench::cli;
 use bda_core::osse::{Osse, OsseConfig};
 use bda_core::resume::OsseCampaign;
 use bda_letkf::{analyze, EnsembleMatrix, ObsEnsemble, QcPipeline, StateLayout};
@@ -98,60 +99,17 @@ fn run_checkpointed_campaign(
     );
 }
 
-/// The non-negative count following the flag at `argv[i]`; a missing or
-/// non-numeric value is a usage error (exit 2), like a bad `--inject` spec.
-fn count_arg(argv: &[String], i: usize) -> usize {
-    match argv.get(i + 1).map(|v| v.parse()) {
-        Some(Ok(n)) => n,
-        _ => {
-            eprintln!(
-                "{} requires a non-negative integer, e.g. {} 6",
-                argv[i], argv[i]
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let mut n_cycles = 5usize;
-    let mut plan = FaultPlan::none();
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut every = 1usize;
-    let mut resume_from: Option<PathBuf> = None;
-    let mut table_file: Option<PathBuf> = None;
     let argv: Vec<String> = std::env::args().collect();
-    if let Some(i) = argv.iter().position(|a| a == "--cycles") {
-        n_cycles = count_arg(&argv, i);
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--inject") {
-        match argv.get(i + 1) {
-            Some(spec) => {
-                plan = FaultPlan::parse(spec, n_cycles).unwrap_or_else(|e| {
-                    eprintln!("bad --inject spec: {e}");
-                    std::process::exit(2);
-                })
-            }
-            None => {
-                eprintln!("--inject requires a fault spec, e.g. --inject \"panic:assim@2\"");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--checkpoint-dir") {
-        checkpoint_dir = Some(PathBuf::from(
-            argv.get(i + 1).expect("--checkpoint-dir DIR"),
-        ));
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--every") {
-        every = count_arg(&argv, i);
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--resume") {
-        resume_from = Some(PathBuf::from(argv.get(i + 1).expect("--resume CKPT")));
-    }
-    if let Some(i) = argv.iter().position(|a| a == "--table-file") {
-        table_file = Some(PathBuf::from(argv.get(i + 1).expect("--table-file PATH")));
-    }
+    let n_cycles = cli::flag(&argv, "--cycles").unwrap_or(5);
+    let plan = cli::flag::<String>(&argv, "--inject").map_or_else(FaultPlan::none, |spec| {
+        FaultPlan::parse(&spec, n_cycles)
+            .unwrap_or_else(|e| cli::usage(&format!("bad --inject spec: {e}")))
+    });
+    let checkpoint_dir: Option<PathBuf> = cli::flag(&argv, "--checkpoint-dir");
+    let every = cli::flag(&argv, "--every").unwrap_or(1);
+    let resume_from: Option<PathBuf> = cli::flag(&argv, "--resume");
+    let table_file: Option<PathBuf> = cli::flag(&argv, "--table-file");
 
     if checkpoint_dir.is_some() || resume_from.is_some() {
         println!("=== checkpointed campaign ({n_cycles} cycles of 30 model-seconds) ===\n");

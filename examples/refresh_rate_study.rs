@@ -10,19 +10,14 @@
 //! cargo run --release --example refresh_rate_study [-- --window 600 --slow 300]
 //! ```
 
+use bda_bench::cli;
 use bda_core::osse::{Osse, OsseConfig};
 use bda_verify::ContingencyTable;
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str, default: f64| -> f64 {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].parse().expect("number"))
-            .unwrap_or(default)
-    };
-    let window = get("--window", 600.0); // total cycling window, s
-    let slow = get("--slow", 300.0); // slow-refresh interval, s
+    let window: f64 = cli::flag(&argv, "--window").unwrap_or(600.0); // total cycling window, s
+    let slow: f64 = cli::flag(&argv, "--slow").unwrap_or(300.0); // slow-refresh interval, s
 
     println!("=== refresh-rate study: 30 s vs {slow:.0} s assimilation ===\n");
 

@@ -29,6 +29,7 @@ use bda::serve::storm::{StormSwarm, SwarmConfig, SwarmEvent};
 use bda::serve::tile::synthetic_reflectivity;
 use bda::workflow::supervisor::{CycleDisposition, CycleSupervisor};
 use bda::workflow::FaultPlan;
+use bda_bench::cli;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -63,43 +64,25 @@ fn volume_for(cycle: usize) -> Bytes {
 }
 
 fn main() {
-    let mut clients = 1000usize;
-    let mut cycles = 20usize;
-    let mut seed = 7u64;
-    let mut deadline_ms = 1000.0f64;
-    let mut table = false;
-    let mut faults =
-        String::from("slowclient:50@5, connstorm:150@9, drop@7, slowclient:30@14, corrupt@12");
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--clients" => {
-                clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients N")
-            }
-            "--cycles" => {
-                cycles = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cycles N")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S"),
-            "--deadline-ms" => {
-                deadline_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--deadline-ms X")
-            }
-            "--faults" => faults = args.next().expect("--faults SPEC"),
-            "--table" => table = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    let plan = FaultPlan::parse(&faults, cycles).expect("fault spec");
+    let argv: Vec<String> = std::env::args().collect();
+    let valued = [
+        "--clients",
+        "--cycles",
+        "--seed",
+        "--deadline-ms",
+        "--faults",
+    ];
+    cli::only(&argv, &valued, &["--table"]);
+    let clients = cli::flag(&argv, "--clients").unwrap_or(1000);
+    let cycles = cli::flag(&argv, "--cycles").unwrap_or(20);
+    let seed: u64 = cli::flag(&argv, "--seed").unwrap_or(7);
+    let deadline_ms: f64 = cli::flag(&argv, "--deadline-ms").unwrap_or(1000.0);
+    let table = argv.iter().any(|a| a == "--table");
+    let faults: String = cli::flag(&argv, "--faults").unwrap_or_else(|| {
+        "slowclient:50@5, connstorm:150@9, drop@7, slowclient:30@14, corrupt@12".into()
+    });
+    let plan = FaultPlan::parse(&faults, cycles)
+        .unwrap_or_else(|e| cli::usage(&format!("bad --faults spec: {e}")));
     eprintln!("serve_storm: {clients} clients, {cycles} cycles, seed {seed}, faults [{faults}]");
 
     let server = NowcastServer::bind(ServeConfig::default()).expect("bind loopback");

@@ -13,7 +13,7 @@
 use bda::core::osse::{Osse, OsseConfig};
 use bda::shard::federation::NetTuning;
 use bda::shard::{FederationConfig, LocalFederation, NetFederation};
-use bda::workflow::FaultPlan;
+use bda::workflow::{Fault, FaultPlan};
 use std::path::PathBuf;
 
 const CYCLES: usize = 3;
@@ -126,7 +126,8 @@ fn sigkilled_shard_resumes_from_its_own_checkpoint() {
     // Kill shard 1 at the start of cycle 2: its in-memory state vanishes,
     // it must rebuild from its scoped checkpoint (written before cycle 1)
     // and replay cycle 1 from the halos still spooled on the bus.
-    let fed = run_federation(2, FaultPlan::none().shard_kill(2, 1), "kill");
+    let plan = FaultPlan::none().with(2, Fault::ShardKill { shard: 1 });
+    let fed = run_federation(2, plan, "kill");
     for (s, w) in fed.workers.iter().enumerate() {
         assert_eq!(
             member_bits(&w.osse.analyzed_flats()),
@@ -197,7 +198,8 @@ fn sigkilled_shard_resumes_over_sockets_with_bit_parity() {
     // respawn bumps its fenced epoch, and the replayed cycles pull every
     // missed halo from peer history via REQ — no file spool involved.
     let (ref_bits, ref_table, _) = reference();
-    let fed = run_net_federation(2, FaultPlan::none().shard_kill(2, 1), "netkill");
+    let plan = FaultPlan::none().with(2, Fault::ShardKill { shard: 1 });
+    let fed = run_net_federation(2, plan, "netkill");
     for (s, w) in fed.workers.iter().enumerate() {
         assert_eq!(
             member_bits(&w.osse.analyzed_flats()),
@@ -220,7 +222,8 @@ fn sigkilled_shard_resumes_over_sockets_with_bit_parity() {
 fn halodrop_lands_on_the_exact_expected_table() {
     // Shard 0's halo for cycle 1 is dropped in transit: shard 1 reuses
     // shard 0's cycle-0 halo (flagged), shard 0 itself is unaffected.
-    let fed = run_federation(2, FaultPlan::none().halo_drop(1, 0), "halodrop");
+    let plan = FaultPlan::none().with(1, Fault::HaloDrop { shard: 0 });
+    let fed = run_federation(2, plan, "halodrop");
     let labels = |s: usize| -> Vec<String> {
         fed.workers[s]
             .records
@@ -241,7 +244,8 @@ fn shardstall_degrades_peers_not_the_laggard() {
     // Shard 1 misses its halo deadline on cycle 1 (publishes a stall
     // marker): both peers step to halo-reuse; shard 1 completes its own
     // cycle late but intact.
-    let fed = run_federation(3, FaultPlan::none().shard_stall(1, 1), "stall");
+    let plan = FaultPlan::none().with(1, Fault::ShardStall { shard: 1 });
+    let fed = run_federation(3, plan, "stall");
     let labels = |s: usize| -> Vec<String> {
         fed.workers[s]
             .records
